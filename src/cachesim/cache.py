@@ -177,7 +177,10 @@ class Cache:
         return ((x * 0x2545F4914F6CDD1D) & _MASK64) >> 32
 
     def access(self, addr, write=False) -> AccessOutcome:
-        code = self._access(addr, write)
+        return self.outcome(self._access(addr, write))
+
+    def outcome(self, code) -> AccessOutcome:
+        """The AccessOutcome of the fast-path code just returned."""
         if code == HIT:
             return AccessOutcome(True)
         if code == MISS_FILL:

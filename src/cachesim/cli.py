@@ -10,6 +10,7 @@ cycle-accounting summary whose per-side miss penalties are the main-memory
 latency of one block transfer at that side's memory-boundary cache.
 """
 
+import math
 import sys
 from dataclasses import replace
 
@@ -39,10 +40,10 @@ USAGE = """\
 usage: cachesim <command> [options]
 
 commands:
-  sim    [flags] <trace>          simulate a cache/TLB hierarchy over a trace
-  vexsim <vex.cfg> <trace>        one-level simulation with cycle accounting
-  sweep  [flags] <trace>          miss counts for many geometries, one pass each
-  gen    <kind> [flags]           generate a synthetic trace
+  sim    [flags] <trace>               simulate a cache/TLB hierarchy over a trace
+  vexsim [flags] <vex.cfg> <trace>     one-level simulation with cycle accounting
+  sweep  [flags] <trace>               miss counts for many geometries, one pass each
+  gen    <kind> [flags]                generate a synthetic trace
 
 sim flags (defaults shown):
 # -cache:dl1     dl1:256:32:1:l # l1 data cache config, i.e., {<config>|none}
@@ -52,10 +53,12 @@ sim flags (defaults shown):
 # -tlb:itlb      itlb:16:4096:4:l # instruction TLB config, i.e., {<config>|none}
 # -tlb:dtlb      dtlb:32:4096:4:l # data TLB config, i.e., {<config>|none}
 # -flush         false # flush caches on system calls
-# -seed          1 # random number generator seed
 # -mem:lat       18 2 # main memory access latency (first, rest)
 # -mem:width     8 # width of memory bus in bytes
 # -tlb:lat       30 # TLB miss latency (in cycles)
+
+sim and vexsim flags (defaults shown):
+# -seed          1 # random number generator seed
 # --format       text # output format, one of {text|csv|json}
 # --out          <null> # write the report to a file instead of stdout
 # --clock        <null> # fixed elapsed seconds, for reproducible output
@@ -70,6 +73,7 @@ cache levels can be unified by pointing il1 at dl1 or dl2, or il2 at dl2
 
 sweep flags:
   --sets N[,N...]   --bsize N[,N...]   --assoc N[,N...]   --opt
+  --format {text|csv|json}   --out PATH
 gen kinds and flags:
   sequential --start A --count N --stride S
   loop       --base A --ws BYTES --iters N --stride S
@@ -121,17 +125,82 @@ def run_main():
     sys.exit(main())
 
 
-def _int_arg(flag, tok):
-    try:
-        return int(tok, 0)
-    except ValueError:
-        raise _UsageError(f"{flag} needs an integer, got {tok!r}") from None
+def _int(tok):
+    return int(tok, 0)
 
 
-def _take(args, i, flag, count=1):
-    if i + count > len(args) - 1:
-        raise _UsageError(f"{flag} is missing its value")
-    return args[i + 1 : i + 1 + count]
+def _ints(tok):
+    return [int(t) for t in tok.split(",") if t]
+
+
+def _seconds(tok):
+    v = float(tok)
+    if not math.isfinite(v):
+        raise ValueError(tok)
+    return v
+
+
+def _format(tok):
+    if tok not in ("text", "csv", "json"):
+        raise ValueError(tok)
+    return tok
+
+
+_WANTED = {_int: "an integer", _ints: "a comma-separated integer list",
+           _seconds: "a finite number", _format: "text, csv or json"}
+
+_HIER_FLAGS = ("-cache:il1", "-cache:il2", "-cache:dl1", "-cache:dl2",
+               "-tlb:itlb", "-tlb:dtlb", "-flush")
+_GEN_FLAGS = ("--start", "--count", "--stride", "--base", "--ws", "--iters",
+              "--seed", "--range")
+
+# flag -> (options key, number of values, converter of each value)
+_OPTIONS = {
+    **{f: (f, 1, str) for f in _HIER_FLAGS},
+    **{f: (f[2:], 1, _int) for f in _GEN_FLAGS},
+    "-mem:lat": ("mem_lat", 2, _int),
+    "-mem:width": ("mem_width", 1, _int),
+    "-tlb:lat": ("tlb_lat", 1, _int),
+    "-seed": ("seed", 1, _int),
+    "--format": ("fmt", 1, _format),
+    "--out": ("out", 1, str),
+    "--clock": ("clock", 1, _seconds),
+    "--sets": ("sets", 1, _ints),
+    "--bsize": ("bsizes", 1, _ints),
+    "--assoc": ("assocs", 1, _ints),
+    "--opt": ("opt", 0, None),
+}
+_RUN_FLAGS = ("-seed", "--format", "--out", "--clock")
+
+
+def _parse(args, flags, names):
+    """Parse ``args`` against the option table, accepting only ``flags``
+    and exactly one positional argument per entry of ``names``.  Returns
+    (options by key, positional arguments)."""
+    opts = {}
+    positional = []
+    i = 0
+    while i < len(args):
+        a = args[i]
+        if a in flags:
+            key, arity, conv = _OPTIONS[a]
+            toks = args[i + 1 : i + 1 + arity]
+            if len(toks) < arity:
+                raise _UsageError(f"{a} is missing its value")
+            try:
+                vals = [conv(t) for t in toks]
+            except ValueError:
+                raise _UsageError(f"{a} needs {_WANTED[conv]}, got {' '.join(toks)!r}") from None
+            opts[key] = True if arity == 0 else vals[0] if arity == 1 else tuple(vals)
+            i += 1 + arity
+        elif a.startswith("-") and a != "-":
+            raise _UsageError(f"unknown flag {a!r}")
+        else:
+            positional.append(a)
+            i += 1
+    if len(positional) != len(names):
+        raise _UsageError(f"expected {' '.join(names)}, got {len(positional)} argument(s)")
+    return opts, positional
 
 
 def _emit(text, out_path):
@@ -151,92 +220,49 @@ def _make_clock(fixed_elapsed):
     return lambda: next(ticks, float(fixed_elapsed))
 
 
-_HIER_FLAGS = ("-cache:il1", "-cache:il2", "-cache:dl1", "-cache:dl2",
-               "-tlb:itlb", "-tlb:dtlb", "-flush")
+def _simulate(h, t, opts, trace_path, simcache):
+    """Run the trace through ``h``, account cycles under timing ``t`` when
+    it is given, and emit the report.  Text output leads with the classic
+    statistics when ``simcache`` is set, then the cycle summary and, for a
+    trace with named regions, the region profile."""
+    report = h.run(read_trace_path(trace_path), collect_events=t is not None,
+                   clock=_make_clock(opts.get("clock")))
+    cycles = None
+    if t is not None:
+        b = report.branches
+        cycles = account(h.events, t, report.sim_num_insn, h.ops_executed,
+                         h.mem_counts["I"], h.mem_counts["D"],
+                         (b.executed, b.taken, b.not_taken))
+    fmt = opts.get("fmt", "text")
+    if fmt != "text":
+        text = export(report, fmt) if cycles is None else export_combined(report, cycles, fmt)
+    else:
+        parts = [render_simcache(report)] if simcache else []
+        if cycles is not None:
+            parts.append(render_vex_summary(cycles, t.core_clk_mhz))
+            if any(name != TOTAL_REGION for name in report.regions):
+                parts.append(render_region_profile(report, t))
+        text = "\n".join(parts)
+    _emit(text, opts.get("out"))
+    return 0
 
 
 def _cmd_sim(args) -> int:
-    hier_pairs = []
-    trace_path = None
-    fmt = "text"
-    out = None
-    clock_val = None
-    seed = 1
-    mem_lat = None
-    mem_width = None
-    tlb_lat = None
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a in _HIER_FLAGS:
-            (v,) = _take(args, i, a)
-            hier_pairs += [a, v]
-            i += 2
-        elif a == "-mem:lat":
-            first, nxt = _take(args, i, a, 2)
-            mem_lat = (_int_arg(a, first), _int_arg(a, nxt))
-            i += 3
-        elif a == "-mem:width":
-            (v,) = _take(args, i, a)
-            mem_width = _int_arg(a, v)
-            i += 2
-        elif a == "-tlb:lat":
-            (v,) = _take(args, i, a)
-            tlb_lat = _int_arg(a, v)
-            i += 2
-        elif a == "-seed":
-            (v,) = _take(args, i, a)
-            seed = _int_arg(a, v)
-            i += 2
-        elif a == "--format":
-            (fmt,) = _take(args, i, a)
-            if fmt not in ("text", "csv", "json"):
-                raise _UsageError(f"--format takes text, csv or json, got {fmt!r}")
-            i += 2
-        elif a == "--out":
-            (out,) = _take(args, i, a)
-            i += 2
-        elif a == "--clock":
-            (v,) = _take(args, i, a)
-            try:
-                clock_val = float(v)
-            except ValueError:
-                raise _UsageError(f"--clock needs a number, got {v!r}") from None
-            i += 2
-        elif a.startswith("-") and a != "-":
-            raise _UsageError(f"unknown flag {a!r}")
-        else:
-            if trace_path is not None:
-                raise _UsageError(f"unexpected extra argument {a!r}")
-            trace_path = a
-            i += 1
-    if trace_path is None:
-        raise _UsageError("missing trace file")
-
+    opts, (trace_path,) = _parse(
+        args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
+        ("<trace>",))
+    mem_lat = opts.get("mem_lat", (18, 2))
+    base = TimingSpec(mem_lat_first=mem_lat[0], mem_lat_next=mem_lat[1],
+                      mem_width=opts.get("mem_width", 8), tlb_lat=opts.get("tlb_lat", 30))
     try:
-        hspec = parse_hierarchy_args(hier_pairs)
-    except ConfigError as exc:
-        raise _UsageError(str(exc)) from None
-
-    with_timing = mem_lat is not None or mem_width is not None or tlb_lat is not None
-    base = TimingSpec(
-        mem_lat_first=mem_lat[0] if mem_lat else 18,
-        mem_lat_next=mem_lat[1] if mem_lat else 2,
-        mem_width=mem_width if mem_width is not None else 8,
-        tlb_lat=tlb_lat if tlb_lat is not None else 30,
-    )
-    try:
+        hspec = parse_hierarchy_args([x for f in _HIER_FLAGS if f in opts for x in (f, opts[f])])
         base.validate()
     except ConfigError as exc:
         raise _UsageError(str(exc)) from None
 
-    h = Hierarchy(hspec, seed)
-    records = read_trace_path(trace_path)
-    report = h.run(records, collect_events=with_timing, clock=_make_clock(clock_val))
-
-    cycles = None
-    t = base
-    if with_timing:
+    h = Hierarchy(hspec, opts.get("seed", 1))
+    t = None
+    if any(k in opts for k in ("mem_lat", "mem_width", "tlb_lat")):
         i_boundary = h.boundary("I")
         d_boundary = h.boundary("D")
         t = replace(
@@ -245,130 +271,27 @@ def _cmd_sim(args) -> int:
             miss_penalty=main_memory_latency(base, d_boundary.bsize) if d_boundary else 0,
             num_caches=len(h.caches),
         )
-        b = report.branches
-        cycles = account(h.events, t, report.sim_num_insn, h.ops_executed,
-                         h.mem_counts["I"], h.mem_counts["D"],
-                         (b.executed, b.taken, b.not_taken))
-
-    if fmt == "text":
-        parts = [render_simcache(report)]
-        if cycles is not None:
-            parts.append(render_vex_summary(cycles, t.core_clk_mhz))
-            if any(name != TOTAL_REGION for name in report.regions):
-                parts.append(render_region_profile(report, t))
-        _emit("\n".join(parts), out)
-    elif cycles is not None:
-        _emit(export_combined(report, cycles, fmt), out)
-    else:
-        _emit(export(report, fmt), out)
-    return 0
+    return _simulate(h, t, opts, trace_path, simcache=True)
 
 
 def _cmd_vexsim(args) -> int:
-    positional = []
-    fmt = "text"
-    out = None
-    clock_val = None
-    seed = 1
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--format":
-            (fmt,) = _take(args, i, a)
-            if fmt not in ("text", "csv", "json"):
-                raise _UsageError(f"--format takes text, csv or json, got {fmt!r}")
-            i += 2
-        elif a == "--out":
-            (out,) = _take(args, i, a)
-            i += 2
-        elif a == "--clock":
-            (v,) = _take(args, i, a)
-            clock_val = float(v)
-            i += 2
-        elif a == "-seed":
-            (v,) = _take(args, i, a)
-            seed = _int_arg(a, v)
-            i += 2
-        elif a.startswith("-"):
-            raise _UsageError(f"unknown flag {a!r}")
-        else:
-            positional.append(a)
-            i += 1
-    if len(positional) != 2:
-        raise _UsageError("vexsim takes a vex.cfg path and a trace path")
-    cfg_path, trace_path = positional
-
-    with open(cfg_path, encoding="utf-8") as fh:
-        dcache, icache, t = parse_vex_cfg(fh.read())
-
-    h = Hierarchy(HierarchySpec(il1=icache, dl1=dcache), seed)
-    records = read_trace_path(trace_path)
-    report = h.run(records, collect_events=True, clock=_make_clock(clock_val))
-    b = report.branches
-    cycles = account(h.events, t, report.sim_num_insn, h.ops_executed,
-                     h.mem_counts["I"], h.mem_counts["D"],
-                     (b.executed, b.taken, b.not_taken))
-
-    if fmt == "text":
-        parts = [render_vex_summary(cycles, t.core_clk_mhz)]
-        if any(name != TOTAL_REGION for name in report.regions):
-            parts.append(render_region_profile(report, t))
-        _emit("\n".join(parts), out)
-    else:
-        _emit(export_combined(report, cycles, fmt), out)
-    return 0
-
-
-def _int_list(flag, text):
+    opts, (cfg_path, trace_path) = _parse(args, _RUN_FLAGS, ("<vex.cfg>", "<trace>"))
+    with open(cfg_path, "rb") as fh:
+        data = fh.read()
     try:
-        return [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise _UsageError(f"{flag} needs a comma-separated integer list") from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{cfg_path} line {line_no}: not valid UTF-8") from None
+    dcache, icache, t = parse_vex_cfg(text)
+    h = Hierarchy(HierarchySpec(il1=icache, dl1=dcache), opts.get("seed", 1))
+    return _simulate(h, t, opts, trace_path, simcache=False)
 
 
 def _cmd_sweep(args) -> int:
-    sets = None
-    bsizes = None
-    assocs = None
-    opt = False
-    fmt = "text"
-    out = None
-    trace_path = None
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a == "--sets":
-            (v,) = _take(args, i, a)
-            sets = _int_list(a, v)
-            i += 2
-        elif a == "--bsize":
-            (v,) = _take(args, i, a)
-            bsizes = _int_list(a, v)
-            i += 2
-        elif a == "--assoc":
-            (v,) = _take(args, i, a)
-            assocs = _int_list(a, v)
-            i += 2
-        elif a == "--opt":
-            opt = True
-            i += 1
-        elif a == "--format":
-            (fmt,) = _take(args, i, a)
-            if fmt not in ("text", "csv", "json"):
-                raise _UsageError(f"--format takes text, csv or json, got {fmt!r}")
-            i += 2
-        elif a == "--out":
-            (out,) = _take(args, i, a)
-            i += 2
-        elif a.startswith("-"):
-            raise _UsageError(f"unknown flag {a!r}")
-        else:
-            if trace_path is not None:
-                raise _UsageError(f"unexpected extra argument {a!r}")
-            trace_path = a
-            i += 1
-    if trace_path is None:
-        raise _UsageError("missing trace file")
+    opts, (trace_path,) = _parse(
+        args, ("--sets", "--bsize", "--assoc", "--opt", "--format", "--out"), ("<trace>",))
+    sets, bsizes, assocs = (opts.get(k) for k in ("sets", "bsizes", "assocs"))
     if not sets or not bsizes or not assocs:
         raise _UsageError("sweep needs --sets, --bsize and --assoc")
     for flag, values in (("--sets", sets), ("--bsize", bsizes), ("--assoc", assocs)):
@@ -379,7 +302,7 @@ def _cmd_sweep(args) -> int:
     records = list(read_trace_path(trace_path))
     geometries = [(n, b) for n in sets for b in bsizes]
     rows = sweep(records, geometries, assocs)
-    if opt:
+    if opts.get("opt"):
         rows = [replace(r, policy="lru") for r in rows]
         for nsets, bsize in geometries:
             total = sum(1 for _ in block_refs(records, bsize))
@@ -388,31 +311,14 @@ def _cmd_sweep(args) -> int:
                 rows.append(SweepRow(nsets, bsize, assoc, misses,
                                      misses / total if total else 0.0, "opt"))
 
-    if fmt == "text":
-        _emit(render_sweep_table(rows), out)
-    else:
-        _emit(export(rows, fmt), out)
+    fmt = opts.get("fmt", "text")
+    _emit(render_sweep_table(rows) if fmt == "text" else export(rows, fmt), opts.get("out"))
     return 0
 
 
 def _cmd_gen(args) -> int:
-    if not args:
-        raise _UsageError("gen needs a kind: sequential, loop or random")
-    kind = args[0]
-    flags = {}
-    out = None
-    i = 1
-    while i < len(args):
-        a = args[i]
-        if a == "--out":
-            (out,) = _take(args, i, a)
-            i += 2
-        elif a.startswith("--"):
-            (v,) = _take(args, i, a)
-            flags[a[2:]] = _int_arg(a, v)
-            i += 2
-        else:
-            raise _UsageError(f"unexpected argument {a!r}")
+    flags, (kind,) = _parse(args, _GEN_FLAGS + ("--out",), ("<kind>",))
+    out = flags.pop("out", None)
 
     def need(names):
         missing = [n for n in names if n not in flags]
@@ -435,8 +341,6 @@ def _cmd_gen(args) -> int:
         else:
             raise _UsageError(f"unknown generator kind {kind!r}")
     except ValueError as exc:
-        if isinstance(exc, _UsageError):
-            raise
         raise _UsageError(str(exc)) from None
 
     if out is None:

@@ -191,9 +191,13 @@ class HierarchySpec:
             raise ConfigError("dl2 is configured but dl1 is none")
         if isinstance(self.il2, CacheSpec) and self.il1 is None:
             raise ConfigError("il2 is configured but il1 is none")
+        names = set()
         for b in (self.il1, self.il2, self.dl1, self.dl2, self.itlb, self.dtlb):
             if isinstance(b, CacheSpec):
                 b.validate()
+                if b.name in names:
+                    raise ConfigError(f"two distinct caches share the name {b.name!r}")
+                names.add(b.name)
         return self
 
 

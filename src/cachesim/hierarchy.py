@@ -11,8 +11,11 @@ Routing rules:
   level; the refill read is issued first, then the writeback write.
 * Syscall records flush every cache when flush-on-syscall is enabled.
   Flush writebacks are local: they do not generate next-level traffic.
-* Region markers switch the attribution bucket; a TOTAL bucket always
-  accrues everything, so named regions partition the trace under it.
+* Region markers attribute by snapshot.  At each R record, and once when
+  the report is built, the change in the monotonic global counters since
+  the previous snapshot is credited to the named region that was active,
+  so the walk itself knows nothing of regions.  TOTAL is the global
+  counters; records after ``R TOTAL`` belong to no named region.
 
 Unified levels alias one Cache object, which is reported once under its
 own name.  Per-level "routed" counters record exactly how many accesses
@@ -29,7 +32,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 
-from .cache import HIT, MISS_REPLACE_DIRTY, AccessOutcome, Cache, CacheStats
+from .cache import HIT, MISS_REPLACE_DIRTY, Cache, CacheStats
 from .config import CacheSpec, HierarchySpec, UnifiedWith
 from .timing import TimingEvent
 
@@ -67,23 +70,6 @@ class SimReport:
     regions: dict = field(default_factory=dict)  # name -> RegionCounters
     sim_elapsed_time: int = 1
     sim_inst_rate: float = 0.0
-
-
-class _Bucket:
-    __slots__ = ("insts", "ops", "refs", "br_exec", "br_taken", "br_not_taken",
-                 "i_misses", "d_misses", "caches")
-
-    def __init__(self, cache_names):
-        self.insts = 0
-        self.ops = 0
-        self.refs = 0
-        self.br_exec = 0
-        self.br_taken = 0
-        self.br_not_taken = 0
-        self.i_misses = 0
-        self.d_misses = 0
-        # per cache: [accesses, hits, misses, replacements, writebacks, invalidations]
-        self.caches = {n: [0, 0, 0, 0, 0, 0] for n in cache_names}
 
 
 def _cache_seed(master, name):
@@ -125,15 +111,8 @@ class Hierarchy:
         self.dtlb = dtlb
 
         # Distinct caches once each, keyed and reported by their own name.
-        self.caches = {}
-        seen = set()
-        for c in (il1, dl1, il2, dl2, itlb, dtlb):
-            if c is None or id(c) in seen:
-                continue
-            if c.name in self.caches:
-                raise ValueError(f"two distinct caches share the name {c.name!r}")
-            seen.add(id(c))
-            self.caches[c.name] = c
+        # (Unified levels alias one object; spec validation keeps names unique.)
+        self.caches = {c.name: c for c in (il1, dl1, il2, dl2, itlb, dtlb) if c is not None}
 
         # Access ledger: demand accesses entering a cache from the trace
         # versus accesses forwarded into it from the level above, so
@@ -155,16 +134,6 @@ class Hierarchy:
 
         self._i_entry = levels(self.i_path)
         self._d_entry = levels(self.d_path)
-        self._i_entry_name = self.i_path[0].name if self.i_path else None
-        self._d_entry_name = self.d_path[0].name if self.d_path else None
-
-        # Named-region buckets only; the TOTAL region is synthesized from
-        # the global counters at report time (it accrues everything by
-        # definition, so tracking it incrementally would double the work).
-        self.regions = {}
-        self._cur_bucket = None  # None while in the TOTAL region
-        self._cur_lists = None
-        self.current_region = TOTAL_REGION
 
         self.sim_num_insn = 0
         self.sim_num_refs = 0
@@ -173,26 +142,41 @@ class Hierarchy:
         self.mem_counts = {"I": [0, 0, 0], "D": [0, 0, 0]}  # [accesses, hits, misses]
         self.events = None  # list[TimingEvent] when collection is enabled
         self._now = 0
+        self._log = None  # step()'s outcome list while it runs, else None
+
+        # Named regions only, name -> counters credited so far (flat, in
+        # _snapshot order).  TOTAL is the global counters themselves.
+        self._regions = {}
+        self.current_region = TOTAL_REGION
+        self._mark = self._snapshot()
 
     def boundary(self, side):
         """The memory-boundary cache of side "I" or "D", or None."""
         path = self.i_path if side == "I" else self.d_path
         return path[-1] if path else None
 
-    def _accrue(self, name, code):
-        """Attribute one access to the active named-region bucket."""
-        s = self._cur_lists[name]
-        s[0] += 1
-        if code == HIT:
-            s[1] += 1
-        else:
-            s[2] += 1
-            if code >= 2:
-                s[3] += 1
-                if code == MISS_REPLACE_DIRTY:
-                    s[4] += 1
+    def _snapshot(self):
+        """The monotonic counters regions are credited from: insts, ops,
+        refs, branches (executed, taken, not taken), boundary misses (I, D),
+        then per cache hits, misses, replacements, writebacks, invalidations."""
+        b = self.branches
+        snap = [self.sim_num_insn, self.ops_executed, self.sim_num_refs,
+                b.executed, b.taken, b.not_taken,
+                self.mem_counts["I"][2], self.mem_counts["D"][2]]
+        for c in self.caches.values():
+            snap += (c.hits, c.misses, c.replacements, c.writebacks, c.invalidations)
+        return snap
 
-    def _access_level(self, level, addr, size, write, side, log):
+    def _credit(self):
+        """Credit the counters' change since the last snapshot to the active
+        named region; while in TOTAL it belongs to no named region."""
+        snap = self._snapshot()
+        acc = self._regions.get(self.current_region)
+        if acc is not None:
+            acc[:] = [a + s - m for a, s, m in zip(acc, snap, self._mark)]
+        self._mark = snap
+
+    def _access_level(self, level, addr, size, write, side):
         """Access every block of [addr, addr+size) at this level, forwarding
         refills and writebacks downward.  Returns the number of accesses
         issued at this level."""
@@ -201,14 +185,12 @@ class Hierarchy:
         first = addr >> shift
         last = (addr + size - 1) >> shift
         events = self.events
+        log = self._log
         block = first
         while True:
             code = cache._access(block << shift, write)
-            if self._cur_lists is not None:
-                self._accrue(cache.name, code)
             if log is not None:
-                log.append((cache.name, code,
-                            cache.victim_tag if code >= 2 else None))
+                log.append((cache.name, cache.outcome(code)))
             if nxt is None:  # memory boundary
                 mc = self.mem_counts[side]
                 mc[0] += 1
@@ -216,11 +198,6 @@ class Hierarchy:
                     mc[1] += 1
                 else:
                     mc[2] += 1
-                    if self._cur_bucket is not None:
-                        if side == "I":
-                            self._cur_bucket.i_misses += 1
-                        else:
-                            self._cur_bucket.d_misses += 1
                     if events is not None:
                         events.append(TimingEvent(
                             "imiss" if side == "I" else "dmiss",
@@ -231,107 +208,68 @@ class Hierarchy:
                 bsize = cache.bsize
                 victim_addr = cache.victim_addr  # before the refill recursion
                 nxt_routed[0] += self._access_level(
-                    nxt, block << shift, bsize, False, side, log)
+                    nxt, block << shift, bsize, False, side)
                 if code == MISS_REPLACE_DIRTY:
                     nxt_routed[1] += self._access_level(
-                        nxt, victim_addr, bsize, True, side, log)
+                        nxt, victim_addr, bsize, True, side)
             if block >= last:
                 return last - first + 1
             block += 1
 
-    def _step(self, rec, log):
+    def _step(self, rec):
         k = rec.kind
-        cur = self._cur_bucket
         if k == "L" or k == "S":
             self._now = self.sim_num_insn
             self.sim_num_refs += 1
-            if cur is not None:
-                cur.refs += 1
-            tlb = self.dtlb
-            if tlb is not None:
-                code = tlb._access(rec.addr, False)
-                self.entry_accesses[tlb.name] += 1
-                if self._cur_lists is not None:
-                    self._accrue(tlb.name, code)
-                if log is not None:
-                    log.append((tlb.name, code,
-                                tlb.victim_tag if code >= 2 else None))
-            if self._d_entry is not None:
-                self.entry_accesses[self._d_entry_name] += self._access_level(
-                    self._d_entry, rec.addr, rec.size, k == "S", "D", log)
+            tlb, entry, size, write, side = self.dtlb, self._d_entry, rec.size, k == "S", "D"
         elif k == "I":
             self._now = self.sim_num_insn
             self.sim_num_insn += 1
             self.ops_executed += rec.ops
-            if cur is not None:
-                cur.insts += 1
-                cur.ops += rec.ops
-            tlb = self.itlb
-            if tlb is not None:
-                code = tlb._access(rec.addr, False)
-                self.entry_accesses[tlb.name] += 1
-                if self._cur_lists is not None:
-                    self._accrue(tlb.name, code)
-                if log is not None:
-                    log.append((tlb.name, code,
-                                tlb.victim_tag if code >= 2 else None))
-            if self._i_entry is not None:
-                self.entry_accesses[self._i_entry_name] += self._access_level(
-                    self._i_entry, rec.addr, 1, False, "I", log)
+            tlb, entry, size, write, side = self.itlb, self._i_entry, 1, False, "I"
         elif k == "B":
             b = self.branches
             b.executed += 1
-            if cur is not None:
-                cur.br_exec += 1
             if rec.taken:
                 b.taken += 1
-                if cur is not None:
-                    cur.br_taken += 1
                 if self.events is not None:
                     self.events.append(TimingEvent("branch", self._now, 0))
             else:
                 b.not_taken += 1
-                if cur is not None:
-                    cur.br_not_taken += 1
+            return
         elif k == "Y":
             if self.flush_on_syscall:
                 for c in self.caches.values():
-                    res = c.flush()
-                    if self._cur_lists is not None:
-                        s = self._cur_lists[c.name]
-                        s[4] += res.writebacks_done
-                        s[5] += res.lines_invalidated
+                    c.flush()
+            return
         elif k == "R":
-            name = rec.name
-            self.current_region = name
-            if name == TOTAL_REGION:
-                self._cur_bucket = None
-                self._cur_lists = None
-            else:
-                bucket = self.regions.get(name)
-                if bucket is None:
-                    bucket = _Bucket(self.caches)
-                    self.regions[name] = bucket
-                self._cur_bucket = bucket
-                self._cur_lists = bucket.caches
+            self._credit()
+            self.current_region = rec.name
+            if rec.name != TOTAL_REGION:
+                self._regions.setdefault(rec.name, [0] * len(self._mark))
+            return
         else:
             raise ValueError(f"unknown trace record kind {k!r}")
+        # The TLB -> L1 entry both access kinds share (inline: it runs on
+        # most records, so it costs no extra call).
+        if tlb is not None:
+            code = tlb._access(rec.addr, False)
+            self.entry_accesses[tlb.name] += 1
+            if self._log is not None:
+                self._log.append((tlb.name, tlb.outcome(code)))
+        if entry is not None:
+            self.entry_accesses[entry[0].name] += self._access_level(
+                entry, rec.addr, size, write, side)
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]
         for every cache access it caused, in order."""
-        log = []
-        self._step(rec, log)
-        out = []
-        for name, code, victim_tag in log:
-            if code == HIT:
-                out.append((name, AccessOutcome(True)))
-            elif victim_tag is None:
-                out.append((name, AccessOutcome(False)))
-            else:
-                out.append((name, AccessOutcome(False, victim_tag,
-                                                code == MISS_REPLACE_DIRTY)))
-        return out
+        self._log = log = []
+        try:
+            self._step(rec)
+        finally:
+            self._log = None
+        return log
 
     def run(self, records, collect_events=False, clock=time.time):
         """Fold every record of the trace and return a SimReport.
@@ -346,37 +284,30 @@ class Hierarchy:
         start = clock()
         step = self._step
         for rec in records:
-            step(rec, None)
+            step(rec)
         elapsed = int(clock() - start)
         if elapsed < 1:
             elapsed = 1
         return self._report(elapsed)
 
-    def _report(self, elapsed):
-        def bucket_counters(b):
-            return RegionCounters(
-                insts=b.insts, ops=b.ops, refs=b.refs,
-                branches=BranchCounts(b.br_exec, b.br_taken, b.br_not_taken),
-                i_misses=b.i_misses, d_misses=b.d_misses,
-                caches={n: CacheStats(*v) for n, v in b.caches.items()},
-            )
+    def _region_counters(self, v):
+        """RegionCounters from a flat vector in _snapshot order."""
+        caches = {name: CacheStats(v[i] + v[i + 1], *v[i:i + 5])
+                  for name, i in zip(self.caches, range(8, len(v), 5))}
+        return RegionCounters(insts=v[0], ops=v[1], refs=v[2],
+                              branches=BranchCounts(*v[3:6]),
+                              i_misses=v[6], d_misses=v[7], caches=caches)
 
-        caches = {n: c.stats for n, c in self.caches.items()}
-        total = RegionCounters(
-            insts=self.sim_num_insn, ops=self.ops_executed, refs=self.sim_num_refs,
-            branches=BranchCounts(self.branches.executed, self.branches.taken,
-                                  self.branches.not_taken),
-            i_misses=self.mem_counts["I"][2], d_misses=self.mem_counts["D"][2],
-            caches=dict(caches),
-        )
+    def _report(self, elapsed):
+        self._credit()
+        total = self._region_counters(self._mark)
         regions = {TOTAL_REGION: total}
-        regions.update({n: bucket_counters(b) for n, b in self.regions.items()})
+        regions.update({n: self._region_counters(v) for n, v in self._regions.items()})
         return SimReport(
             sim_num_insn=self.sim_num_insn,
             sim_num_refs=self.sim_num_refs,
-            caches=caches,
-            branches=BranchCounts(self.branches.executed, self.branches.taken,
-                                  self.branches.not_taken),
+            caches=total.caches,
+            branches=BranchCounts(*self._mark[3:6]),
             regions=regions,
             sim_elapsed_time=elapsed,
             sim_inst_rate=self.sim_num_insn / elapsed,

@@ -17,7 +17,7 @@ exactly misses times the miss penalty when nothing conflicts.
 
 from dataclasses import dataclass
 
-from ._fmt import fixed, pct
+from ._fmt import pct
 from .config import TimingSpec
 
 

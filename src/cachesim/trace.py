@@ -49,14 +49,12 @@ def inst(addr, ops=1):
 
 
 def load(addr, size):
-    _check_addr(addr)
-    _check_size(size)
+    _check_span(addr, size)
     return TraceRecord("L", addr=addr, size=size)
 
 
 def store(addr, size):
-    _check_addr(addr)
-    _check_size(size)
+    _check_span(addr, size)
     return TraceRecord("S", addr=addr, size=size)
 
 
@@ -79,9 +77,12 @@ def _check_addr(addr):
         raise ValueError(f"address out of range: {addr:#x}")
 
 
-def _check_size(size):
+def _check_span(addr, size):
+    _check_addr(addr)
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
+    if addr + size - 1 > MAX_ADDR:
+        raise ValueError(f"{size}-byte access at {addr:#x} runs past the address space")
 
 
 def parse_trace(lines):
@@ -238,10 +239,19 @@ def read_trace_path(path):
         return parse_trace_binary(data)
 
     def _lines():
-        with open(path, encoding="utf-8") as fh:
-            yield from parse_trace(fh)
+        with open(path, "rb") as fh:
+            yield from parse_trace(_utf8_lines(fh))
 
     return _lines()
+
+
+def _utf8_lines(raw_lines):
+    """Decode byte lines one at a time, so a bad byte is named by its line."""
+    for line_no, raw in enumerate(raw_lines, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceSyntaxError(line_no, f"not valid UTF-8: {exc.reason}") from None
 
 
 def write_trace_path(path, records):

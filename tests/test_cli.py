@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cachesim.cli import main
+from cachesim.cli import _OPTIONS, main
 
 VEX_CFG = """\
 CoreCkFreq      1000
@@ -200,6 +202,37 @@ def test_vexsim_usage(capsys, cfg_file):
     assert run_cli(capsys, "vexsim", cfg_file)[0] == 1
 
 
+def test_vexsim_bad_clock_exits_1(capsys, cfg_file, trace_file):
+    code, _, err = run_cli(capsys, "vexsim", "--clock", "abc", cfg_file, trace_file)
+    assert code == 1
+    assert "--clock" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--clock", "nan"),
+    ("--clock", "inf"),
+    ("-cache:il1", "dl1:128:32:1:l"),  # a second cache named dl1
+])
+def test_sim_bad_command_line_exits_1(capsys, trace_file, argv):
+    assert run_cli(capsys, "sim", *argv, trace_file)[0] == 1
+
+
+def test_non_utf8_trace_exits_2_with_line_number(capsys, tmp_path):
+    p = tmp_path / "bad.ct"
+    p.write_bytes(b"I 400000\nR \xff\n")
+    code, _, err = run_cli(capsys, "sim", str(p))
+    assert code == 2
+    assert "line 2" in err
+
+
+def test_non_utf8_vex_cfg_exits_2(capsys, tmp_path, trace_file):
+    p = tmp_path / "vex.cfg"
+    p.write_bytes(VEX_CFG.encode() + b"# \xff\n")
+    code, _, err = run_cli(capsys, "vexsim", str(p), trace_file)
+    assert code == 2
+    assert "line 14" in err and "UTF-8" in err
+
+
 def test_sweep_csv(capsys, trace_file):
     code, out, _ = run_cli(capsys, "sweep", "--sets", "64,256", "--bsize", "32",
                            "--assoc", "1,2,4,8", "--format", "csv", trace_file)
@@ -254,3 +287,56 @@ def test_gen_usage_errors(capsys):
     assert run_cli(capsys, "gen", "spiral", "--count", "4")[0] == 1
     assert run_cli(capsys, "gen", "sequential")[0] == 1
     assert run_cli(capsys, "gen", "sequential", "--count", "4", "--stride", "0")[0] == 1
+    assert run_cli(capsys, "gen", "sequential", "--count", "4", "--bogus", "1")[0] == 1
+
+
+# Every cache geometry in this vocabulary has at most 1024 sets, and the
+# plain numbers, which also size generated traces, stay at 16 or below:
+# cache specs have no upper bound, so a large one could exhaust memory.
+_FUZZ_VALUES = [
+    "0", "1", "2", "7", "16", "0x10", "-1", "-3", "1.5", "nan", "inf", "abc", "-", "",
+    "text", "csv", "json", "xml", "true", "false", "none", "dl1", "dl2",
+    "dl1:64:32:2:l", "il1:1024:64:1:f", "ul2:256:64:4:r", "itlb:16:4096:4:l",
+    "dl1:3:32:1:l", "x:1:1:1:q", "1,2,4", "16,1024", "3,5", "1,,2",
+    "sequential", "loop", "random", "t.ct", "t.ctb", "vex.cfg", "--bogus",
+]
+
+
+# One value each flag accepts, drawn as often as the whole vocabulary so
+# that runs get past the parser; flags not named here take "1".
+_GOOD_VALUES = {
+    "-cache:il1": "dl1", "-cache:il2": "none", "-cache:dl1": "dl1:64:32:2:l",
+    "-cache:dl2": "ul2:256:64:4:r", "-tlb:itlb": "itlb:16:4096:4:l", "-tlb:dtlb": "none",
+    "-flush": "true", "--format": "json", "--out": "out.txt",
+    "--sets": "1,2,4", "--bsize": "16,64", "--assoc": "1,2,4",
+}
+_WORD = st.sampled_from(sorted(_OPTIONS) + _FUZZ_VALUES).map(lambda w: [w])
+_FLAG_WITH_VALUES = st.sampled_from(sorted(_OPTIONS)).flatmap(
+    lambda f: st.lists(st.just(_GOOD_VALUES.get(f, "1")) | st.sampled_from(_FUZZ_VALUES),
+                       min_size=_OPTIONS[f][1], max_size=_OPTIONS[f][1]).map(lambda v: [f, *v]))
+
+
+# Valid command lines; the fuzzed words go in right after the command.
+_BASES = [
+    ["sim", "t.ct"],
+    ["vexsim", "vex.cfg", "t.ct"],
+    ["sweep", "--sets", "1,2", "--bsize", "16", "--assoc", "1,2", "t.ct"],
+    ["gen", "loop", "--ws", "16", "--iters", "2"],
+    ["gen", "random", "--range", "16", "--count", "7"],
+    ["help"],
+    ["bogus"],
+]
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_BASES),
+       words=st.lists(st.one_of(_FLAG_WITH_VALUES, _FLAG_WITH_VALUES, _WORD), max_size=3))
+def test_fuzzed_command_lines_exit_0_1_or_2(capsys, tmp_path, monkeypatch, base, words):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.ct").write_text(TRACE)
+    (tmp_path / "vex.cfg").write_text(VEX_CFG)
+    argv = [base[0], *(w for group in words for w in group), *base[1:]]
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()

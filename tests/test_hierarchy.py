@@ -246,6 +246,51 @@ def test_region_counters_sum_to_total():
                 getattr(rep.caches[cname], counter)
 
 
+def test_regions_match_step_outcomes_summed_per_region():
+    # Regions are entered, re-entered and left for TOTAL; no syscalls,
+    # because flush outcomes are not in the step() log.
+    rng = random.Random(606)
+    counters = ("accesses", "hits", "misses", "replacements", "writebacks")
+    for args in CONFIG_SAMPLES:
+        trace = []
+        for _ in range(3000):
+            if rng.randrange(12) == 0:
+                trace.append(region(rng.choice(["r0", "r1", "r2", "TOTAL"])))
+            else:
+                trace += _random_trace(rng, 1)
+        rep = build(args, seed=5).run(trace, clock=lambda: 0.0)
+
+        twin = build(args, seed=5)
+        want = {}
+        for rec in trace:
+            outcomes = twin.step(rec)
+            if twin.current_region == "TOTAL":
+                continue
+            r = want.setdefault(twin.current_region, {
+                "insts": 0, "refs": 0, "branches": 0,
+                "caches": {n: dict.fromkeys(counters, 0) for n in twin.caches}})
+            r["insts"] += rec.kind == "I"
+            r["refs"] += rec.kind in ("L", "S")
+            r["branches"] += rec.kind == "B"
+            for name, o in outcomes:
+                c = r["caches"][name]
+                c["accesses"] += 1
+                c["hits"] += o.hit
+                c["misses"] += not o.hit
+                c["replacements"] += o.evicted_tag is not None
+                c["writebacks"] += o.evicted_dirty
+
+        named = {n: r for n, r in rep.regions.items() if n != "TOTAL"}
+        assert list(named) == list(want), args
+        for name, r in named.items():
+            w = want[name]
+            assert (r.insts, r.refs, r.branches.executed) == \
+                (w["insts"], w["refs"], w["branches"]), (args, name)
+            for cname, stats in r.caches.items():
+                got = {k: getattr(stats, k) for k in counters}
+                assert got == w["caches"][cname], (args, name, cname)
+
+
 def test_unified_l1_sees_both_streams():
     h = build(["-cache:dl1", "ul1:256:32:1:l", "-cache:il1", "dl1",
                "-cache:dl2", "none", "-cache:il2", "none"])

@@ -71,6 +71,31 @@ def test_parse_errors_carry_line_numbers():
         list(parse_trace(["L 1ffffffffffffffff 4"]))  # past 2^64-1
 
 
+def test_access_past_address_space_rejected():
+    top = 2**64 - 1
+    for make in (load, store):
+        assert make(top, 1).addr == top
+        assert make(top - 7, 8).size == 8
+        with pytest.raises(ValueError, match="past the address space"):
+            make(top, 8)
+    with pytest.raises(TraceSyntaxError) as exc:
+        list(parse_trace(["L ffffffffffffffff 1", "S ffffffffffffffff 8"]))
+    assert exc.value.line_no == 2
+    data = write_trace_binary([load(top, 1), TraceRecord("L", addr=top, size=8)])
+    with pytest.raises(TraceSyntaxError) as exc:
+        list(parse_trace_binary(data))
+    assert exc.value.line_no == 2
+
+
+def test_non_utf8_text_trace_names_its_line(tmp_path):
+    p = tmp_path / "t.ct"
+    p.write_bytes(b"I 400000\r\nR caf\xc3\xa9\nR \xff\n")
+    with pytest.raises(TraceSyntaxError) as exc:
+        list(read_trace_path(p))
+    assert exc.value.line_no == 3
+    assert "UTF-8" in exc.value.reason
+
+
 def test_write_trace_examples():
     assert write_trace([inst(0x400000, 1)]) == "I 400000\n"
     assert write_trace([region("main")]) == "R main\n"
