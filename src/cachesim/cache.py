@@ -90,7 +90,7 @@ class Cache:
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
-        spec.validate()
+        spec.validate().check_size()
         self.spec = spec
         self.name = spec.name
         self.nsets = spec.nsets

@@ -12,6 +12,7 @@ latency of one block transfer at that side's memory-boundary cache.
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 from .config import (
@@ -31,7 +32,7 @@ from .report import (
     render_sweep_table,
     render_vex_summary,
 )
-from .sweep import SweepRow, belady_misses, block_refs, sweep
+from .sweep import sweep
 from .timing import account, main_memory_latency
 from .trace import TraceSyntaxError, gen_loop, gen_random, gen_sequential, \
     read_trace_path, write_trace, write_trace_path
@@ -42,7 +43,7 @@ usage: cachesim <command> [options]
 commands:
   sim    [flags] <trace>               simulate a cache/TLB hierarchy over a trace
   vexsim [flags] <vex.cfg> <trace>     one-level simulation with cycle accounting
-  sweep  [flags] <trace>               miss counts for many geometries, one pass each
+  sweep  [flags] <trace>               misses of every assoc, one pass per geometry
   gen    <kind> [flags]                generate a synthetic trace
 
 sim flags (defaults shown):
@@ -283,7 +284,10 @@ def _cmd_vexsim(args) -> int:
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{cfg_path} line {line_no}: not valid UTF-8") from None
-    dcache, icache, t = parse_vex_cfg(text)
+    with warnings.catch_warnings():  # restores showwarning on exit
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda msg, *_: print(f"warning: {cfg_path} {msg}", file=sys.stderr)
+        dcache, icache, t = parse_vex_cfg(text)
     h = Hierarchy(HierarchySpec(il1=icache, dl1=dcache), opts.get("seed", 1))
     return _simulate(h, t, opts, trace_path, simcache=False)
 
@@ -299,18 +303,8 @@ def _cmd_sweep(args) -> int:
             if not is_pow2(v):
                 raise _UsageError(f"{flag} values must be powers of two, got {v}")
 
-    records = list(read_trace_path(trace_path))
-    geometries = [(n, b) for n in sets for b in bsizes]
-    rows = sweep(records, geometries, assocs)
-    if opts.get("opt"):
-        rows = [replace(r, policy="lru") for r in rows]
-        for nsets, bsize in geometries:
-            total = sum(1 for _ in block_refs(records, bsize))
-            for assoc in assocs:
-                misses = belady_misses(records, nsets, bsize, assoc)
-                rows.append(SweepRow(nsets, bsize, assoc, misses,
-                                     misses / total if total else 0.0, "opt"))
-
+    rows = sweep(list(read_trace_path(trace_path)), [(n, b) for n in sets for b in bsizes],
+                 assocs, opt=opts.get("opt", False))
     fmt = opts.get("fmt", "text")
     _emit(render_sweep_table(rows) if fmt == "text" else export(rows, fmt), opts.get("out"))
     return 0

@@ -70,6 +70,11 @@ class GeometryUnderflow(ConfigError):
     pass
 
 
+# Largest nsets x assoc a simulated cache may have; Cache builds its sets
+# eagerly.  A spec alone may describe more.
+MAX_CACHE_LINES = 1 << 20
+
+
 def is_pow2(n):
     """True for 1, 2, 4, 8, ... only."""
     return n >= 1 and (n & (n - 1)) == 0
@@ -121,6 +126,13 @@ class CacheSpec:
             v = getattr(self, fname)
             if not is_pow2(v):
                 raise NonPowerOfTwo(fname, v)
+        return self
+
+    def check_size(self):
+        """Reject a geometry too large to simulate, before Cache allocates it."""
+        if self.nsets * self.assoc > MAX_CACHE_LINES:
+            raise ConfigError(f"cache {self.name!r} has {self.nsets} sets x {self.assoc} ways, "
+                              f"over the limit of {MAX_CACHE_LINES} lines")
         return self
 
     def render(self):
@@ -194,7 +206,7 @@ class HierarchySpec:
         names = set()
         for b in (self.il1, self.il2, self.dl1, self.dl2, self.itlb, self.dtlb):
             if isinstance(b, CacheSpec):
-                b.validate()
+                b.validate().check_size()
                 if b.name in names:
                     raise ConfigError(f"two distinct caches share the name {b.name!r}")
                 names.add(b.name)
@@ -397,7 +409,7 @@ def parse_vex_cfg(text):
             raise ConfigError(f"line {line_no}: expected 'Key Value', got {raw!r}")
         key, value = toks
         if key not in _VEX_REQUIRED and key not in _VEX_OPTIONAL and key not in _VEX_IGNORED:
-            warnings.warn(f"vex.cfg line {line_no}: ignoring unknown key {key!r}")
+            warnings.warn(f"line {line_no}: ignoring unknown key {key!r}")
             continue
         kv[key] = (value, line_no)
 

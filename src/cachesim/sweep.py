@@ -1,20 +1,24 @@
-"""Design-space exploration: many cache configurations from few passes.
+"""Design-space exploration: every associativity from one pass per geometry.
 
-For a fixed (nsets, bsize) geometry, one pass over the trace records the
-LRU stack distance of every block reference: the 1-based depth of the
-block in its set's recency stack.  A reference hits an assoc-way LRU cache
-exactly when its distance is <= assoc, so the whole associativity axis is
-answered by one histogram.  Different geometries change the index
-function, so each needs its own pass.
-
-Also provides an exact offline Belady (optimal) replacement simulator for
-lower-bound comparisons.
+LRU and Belady's optimal replacement (OPT) are stack algorithms (Mattson,
+Gecsei, Slutz & Traiger, "Evaluation techniques for storage hierarchies",
+IBM Systems Journal 1970): the top k entries of each set's stack are
+exactly the contents of a k-way cache, so a reference hits an assoc-way
+cache when its block's depth is <= assoc, and one pass over the block
+stream of an (nsets, bsize) geometry answers every associativity.  The LRU
+rule moves the referenced block to the top.  The OPT rule does too, and at
+each depth above the block's old one keeps, of the block there and the one
+carried down from above, the one whose next use comes sooner.  Stacks are
+cut at the largest associativity asked for: deeper entries never change a
+miss count.  Each geometry's index function needs its own pass.
 
 Only Load and Store records are consumed here; write semantics are
 ignored (miss counts only).  Accesses spanning block boundaries count one
 reference per distinct block touched.
 """
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -30,11 +34,12 @@ def block_refs(records, bsize):
 
 @dataclass
 class DistanceHistogram:
-    """Per-geometry LRU stack-distance counts.
+    """Per-geometry stack-distance counts.
 
     ``counts[d]`` is the number of references that found their block at
-    depth d of its set's stack; ``cold`` counts first touches.  Their sum
-    is the total number of block references processed.
+    depth d of its set's stack; ``cold`` counts references that did not
+    find it (first touches, or blocks below a cut stack).  Their sum is
+    the total number of block references processed.
     """
 
     nsets: int
@@ -47,29 +52,74 @@ class DistanceHistogram:
         return self.cold + sum(self.counts.values())
 
 
-def stack_distances(records, nsets, bsize) -> DistanceHistogram:
-    """One pass over the trace, maintaining an LRU stack per set."""
-    hist = DistanceHistogram(nsets, bsize)
-    counts = hist.counts
-    stacks = [[] for _ in range(nsets)]
+def _next_uses(stream):
+    """Position of each reference's next use of its block, or
+    ``len(stream)`` (later than every real position) when there is none."""
+    n = len(stream)
+    next_use = [n] * n
+    last_seen = {}
+    for i in range(n - 1, -1, -1):
+        b = stream[i]
+        next_use[i] = last_seen.get(b, n)
+        last_seen[b] = i
+    return next_use
+
+
+def _stack_pass(stream, nsets, bsize, cut=math.inf, next_use=None):
+    """One pass of per-set stacks, at most ``cut`` entries deep, over a
+    block stream; the LRU rule, or the OPT rule when ``next_use`` (from
+    ``_next_uses``) is given.
+
+    An LRU stack holds block numbers.  An OPT stack holds, for each block,
+    the position of its next use, which both ranks the block and names the
+    reference that will look for it.  A set's stack is made on first touch.
+    """
+    counts = {}
+    stacks = defaultdict(list)
     cold = 0
-    for block in block_refs(records, bsize):
-        stack = stacks[block % nsets]
-        if block in stack:
-            depth = stack.index(block) + 1
-            counts[depth] = counts.get(depth, 0) + 1
-            if depth > 1:
-                del stack[depth - 1]
-                stack.insert(0, block)
-        else:
-            cold += 1
-            stack.insert(0, block)
-    hist.cold = cold
-    return hist
+    if next_use is None:
+        for b in stream:
+            stack = stacks[b % nsets]
+            if b in stack:
+                depth = stack.index(b) + 1
+                counts[depth] = counts.get(depth, 0) + 1
+                if depth > 1:
+                    del stack[depth - 1]
+                    stack.insert(0, b)
+            else:
+                cold += 1
+                stack.insert(0, b)
+                if len(stack) > cut:
+                    stack.pop()
+    else:
+        for i, b in enumerate(stream):
+            stack = stacks[b % nsets]
+            if i in stack:
+                d = stack.index(i)
+                counts[d + 1] = counts.get(d + 1, 0) + 1
+            else:
+                cold += 1
+                d = len(stack)
+                stack.append(None)
+            if d:
+                carry = stack[0]
+                for j in range(1, d):
+                    if stack[j] > carry:
+                        stack[j], carry = carry, stack[j]
+                stack[d] = carry
+            stack[0] = next_use[i]
+            if len(stack) > cut:
+                stack.pop()
+    return DistanceHistogram(nsets, bsize, counts, cold)
+
+
+def stack_distances(records, nsets, bsize) -> DistanceHistogram:
+    """LRU stack distances of every data reference, from one uncut pass."""
+    return _stack_pass(block_refs(records, bsize), nsets, bsize)
 
 
 def misses_for_assoc(hist: DistanceHistogram, assoc: int) -> int:
-    """LRU miss count of an (nsets, bsize, assoc) cache on the same trace."""
+    """Miss count of an (nsets, bsize, assoc) cache on the same trace."""
     if assoc < 1:
         raise ValueError(f"assoc must be >= 1, got {assoc}")
     return hist.cold + sum(c for d, c in hist.counts.items() if d > assoc)
@@ -85,74 +135,36 @@ class SweepRow:
     policy: str | None = None
 
 
-def sweep(records, geometries, assocs):
-    """Evaluate every (geometry x assoc) combination, one trace pass per
-    geometry.  ``records`` must be re-iterable (e.g. a list)."""
+def sweep(records, geometries, assocs, opt=False):
+    """Evaluate every (geometry x assoc) combination under LRU and, with
+    ``opt``, under OPT: one stack pass per geometry and policy, the block
+    stream built once per block size.  Rows come in ``geometries`` order,
+    all LRU rows first; their policy is None unless ``opt`` is set.
+    ``records`` must be re-iterable (e.g. a list)."""
     if not geometries or not assocs:
         raise ValueError("geometries and assocs must be non-empty")
-    rows = []
-    for nsets, bsize in geometries:
-        hist = stack_distances(records, nsets, bsize)
-        total = hist.total
-        for assoc in assocs:
-            misses = misses_for_assoc(hist, assoc)
-            rows.append(SweepRow(nsets, bsize, assoc, misses,
-                                 misses / total if total else 0.0))
-    return rows
+    policies = ("lru", "opt") if opt else (None,)
+    misses = {}  # (policy, nsets, bsize) -> misses per entry of assocs
+    totals = {}
+    for bsize in dict.fromkeys(b for _, b in geometries):
+        stream = list(block_refs(records, bsize))
+        next_use = _next_uses(stream) if opt else None
+        totals[bsize] = len(stream)
+        for nsets in dict.fromkeys(n for n, b in geometries if b == bsize):
+            for policy in policies:
+                hist = _stack_pass(stream, nsets, bsize, max(assocs),
+                                   next_use if policy == "opt" else None)
+                misses[policy, nsets, bsize] = [misses_for_assoc(hist, a) for a in assocs]
+        del stream, next_use  # hold one block size's arrays at a time
+    return [SweepRow(nsets, bsize, a, m, m / totals[bsize] if totals[bsize] else 0.0, policy)
+            for policy in policies for nsets, bsize in geometries
+            for a, m in zip(assocs, misses[policy, nsets, bsize])]
 
 
 def belady_misses(records, nsets, bsize, assoc) -> int:
-    """Miss count under offline optimal replacement.
-
-    Two passes: the first indexes each reference's next use, the second
-    simulates a demand-fetch cache that evicts the resident block whose
-    next use lies farthest in the future (never-reused blocks first; ties
-    break toward the lowest way index).
-    """
+    """Miss count under offline optimal replacement: one OPT stack pass
+    cut at ``assoc``, after a backward pass that finds each next use."""
     if assoc < 1:
         raise ValueError(f"assoc must be >= 1, got {assoc}")
     stream = list(block_refs(records, bsize))
-    n = len(stream)
-    never = n  # sorts after every real position
-    next_use = [never] * n
-    last_seen = {}
-    for i in range(n - 1, -1, -1):
-        b = stream[i]
-        next_use[i] = last_seen.get(b, never)
-        last_seen[b] = i
-
-    way_block = {}  # set index -> list of resident blocks per way
-    way_next = {}  # set index -> next-use position per way
-    resident = {}  # set index -> {block: way}
-    misses = 0
-    for i in range(n):
-        b = stream[i]
-        si = b % nsets
-        si_res = resident.get(si)
-        if si_res is None:
-            si_res = resident[si] = {}
-            way_block[si] = []
-            way_next[si] = []
-        way = si_res.get(b)
-        if way is not None:
-            way_next[si][way] = next_use[i]
-            continue
-        misses += 1
-        blocks = way_block[si]
-        nexts = way_next[si]
-        if len(blocks) < assoc:
-            si_res[b] = len(blocks)
-            blocks.append(b)
-            nexts.append(next_use[i])
-        else:
-            victim = 0
-            best = nexts[0]
-            for w in range(1, assoc):
-                if nexts[w] > best:
-                    best = nexts[w]
-                    victim = w
-            del si_res[blocks[victim]]
-            si_res[b] = victim
-            blocks[victim] = b
-            nexts[victim] = next_use[i]
-    return misses
+    return _stack_pass(stream, nsets, bsize, assoc, _next_uses(stream)).cold

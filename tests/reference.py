@@ -1,8 +1,8 @@
 """Independent reference models used as oracles by the test suite.
 
 These are deliberately written with different data structures than the
-package (dict-of-tags sets, explicit recency lists, exhaustive search) so
-agreement is meaningful.
+package (dict-of-tags sets, explicit recency lists, per-way victim search,
+exhaustive search) so agreement is meaningful.
 """
 
 from cachesim import Cache, CacheSpec, ReplacementPolicy
@@ -82,6 +82,60 @@ def direct_misses(records, nsets, bsize, assoc, policy="l", seed=1):
             for b in range(first, last + 1):
                 c._access(b * bsize, r.kind == "S")
     return c.misses
+
+
+def belady_victim_misses(stream, nsets, assoc):
+    """Miss count under offline optimal replacement, by victim search.
+
+    Two passes over a list of block numbers: the first indexes each
+    reference's next use, the second simulates a demand-fetch cache that
+    evicts the resident block whose next use lies farthest in the future
+    (never-reused blocks first; ties break toward the lowest way index).
+    """
+    n = len(stream)
+    never = n  # sorts after every real position
+    next_use = [never] * n
+    last_seen = {}
+    for i in range(n - 1, -1, -1):
+        b = stream[i]
+        next_use[i] = last_seen.get(b, never)
+        last_seen[b] = i
+
+    way_block = {}  # set index -> list of resident blocks per way
+    way_next = {}  # set index -> next-use position per way
+    resident = {}  # set index -> {block: way}
+    misses = 0
+    for i in range(n):
+        b = stream[i]
+        si = b % nsets
+        si_res = resident.get(si)
+        if si_res is None:
+            si_res = resident[si] = {}
+            way_block[si] = []
+            way_next[si] = []
+        way = si_res.get(b)
+        if way is not None:
+            way_next[si][way] = next_use[i]
+            continue
+        misses += 1
+        blocks = way_block[si]
+        nexts = way_next[si]
+        if len(blocks) < assoc:
+            si_res[b] = len(blocks)
+            blocks.append(b)
+            nexts.append(next_use[i])
+        else:
+            victim = 0
+            best = nexts[0]
+            for w in range(1, assoc):
+                if nexts[w] > best:
+                    best = nexts[w]
+                    victim = w
+            del si_res[blocks[victim]]
+            si_res[b] = victim
+            blocks[victim] = b
+            nexts[victim] = next_use[i]
+    return misses
 
 
 def brute_min_misses(blocks, nsets, assoc):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,6 +234,16 @@ def test_non_utf8_vex_cfg_exits_2(capsys, tmp_path, trace_file):
     assert "line 14" in err and "UTF-8" in err
 
 
+def test_vexsim_unknown_keys_warn_plainly(capsys, tmp_path, trace_file):
+    p = tmp_path / "vex.cfg"
+    p.write_text(VEX_CFG + "MysteryKnob 7\nOtherKnob 1\n")
+    code, _, err = run_cli(capsys, "vexsim", "--clock", "0", str(p), trace_file)
+    assert code == 0
+    assert err.splitlines() == [f"warning: {p} line 14: ignoring unknown key 'MysteryKnob'",
+                                f"warning: {p} line 15: ignoring unknown key 'OtherKnob'"]
+    assert "config.py" not in err
+
+
 def test_sweep_csv(capsys, trace_file):
     code, out, _ = run_cli(capsys, "sweep", "--sets", "64,256", "--bsize", "32",
                            "--assoc", "1,2,4,8", "--format", "csv", trace_file)
@@ -250,6 +261,18 @@ def test_sweep_with_opt_rows(capsys, trace_file):
     assert lines[0] == "policy,nsets,bsize,assoc,misses,miss_rate"
     assert sum(1 for l in lines if l.startswith("lru,")) == 8
     assert sum(1 for l in lines if l.startswith("opt,")) == 8
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+def test_sweep_opt_matches_golden_bytes(capsys, tmp_path, fmt, ext):
+    trace = tmp_path / "rand.ct"
+    assert main(["gen", "random", "--seed", "7", "--range", "16384", "--count", "4000",
+                 "--out", str(trace)]) == 0
+    out = tmp_path / f"sweep.{ext}"
+    assert main(["sweep", "--sets", "1,16,128", "--bsize", "32,64", "--assoc", "1,2,4,8,16",
+                 "--opt", "--format", fmt, "--out", str(out), str(trace)]) == 0
+    golden = Path(__file__).parent / "golden" / f"sweep_opt.{ext}"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_sweep_requires_power_of_two(capsys, trace_file):

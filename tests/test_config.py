@@ -6,6 +6,7 @@ from cachesim import (
     CacheSpec,
     ConfigError,
     GeometryUnderflow,
+    HierarchySpec,
     InvalidUnification,
     MissingKey,
     NonNumeric,
@@ -20,6 +21,7 @@ from cachesim import (
     parse_hierarchy_args,
     parse_vex_cfg,
 )
+from cachesim.config import MAX_CACHE_LINES
 
 VEX_CFG = """\
 CoreCkFreq      1000
@@ -254,6 +256,22 @@ def test_vex_geometry_underflow():
     broken = VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    5")
     with pytest.raises(GeometryUnderflow):
         parse_vex_cfg(broken)
+
+
+def test_geometry_over_line_limit_rejected():
+    lru = ReplacementPolicy.LRU
+    assert CacheSpec("c", MAX_CACHE_LINES // 4, 32, 4, lru).check_size()
+    for nsets, assoc in ((MAX_CACHE_LINES * 2, 1), (MAX_CACHE_LINES // 2, 4), (1 << 40, 1)):
+        spec = CacheSpec("c", nsets, 32, assoc, lru).validate()  # a spec may describe it
+        with pytest.raises(ConfigError, match=f"limit of {MAX_CACHE_LINES} lines"):
+            spec.check_size()
+        with pytest.raises(ConfigError, match="limit"):
+            HierarchySpec(dl1=spec).validate()
+    with pytest.raises(ConfigError, match="limit"):
+        parse_hierarchy_args(["-cache:dl1", "dl1:2097152:32:1:l"])
+    dcache, _, _ = parse_vex_cfg(VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    40"))
+    with pytest.raises(ConfigError, match="limit"):
+        HierarchySpec(dl1=dcache).validate()
 
 
 def test_vex_optional_defaults():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     DistanceHistogram,
@@ -13,7 +15,7 @@ from cachesim import (
     store,
     sweep,
 )
-from reference import brute_min_misses, data_blocks, direct_misses
+from reference import belady_victim_misses, brute_min_misses, data_blocks, direct_misses
 
 
 def refs(blocks, bsize=32):
@@ -59,6 +61,14 @@ def test_sweep_empty_trace():
     rows = sweep([], [(16, 32), (64, 16)], [1, 2])
     assert all(r.misses == 0 and r.miss_rate == 0.0 for r in rows)
     assert len(rows) == 4
+
+
+def test_huge_set_count_allocates_no_stacks_up_front():
+    records = refs([0, 1, 0, 1 << 41])  # blocks 0 and 2**41 share set 0
+    h = stack_distances(records, 1 << 40, 32)
+    assert h.cold == 3 and h.counts == {1: 1}
+    rows = sweep(records, [(1 << 40, 32)], [1, 2], opt=True)
+    assert [(r.policy, r.misses) for r in rows] == [("lru", 3), ("lru", 3), ("opt", 3), ("opt", 3)]
 
 
 def test_sweep_rejects_empty_axes():
@@ -158,3 +168,25 @@ def test_belady_ignores_non_data_records():
     noisy = [inst(0x400000), branch(True), syscall()] + plain
     assert belady_misses(noisy, 1, 32, 2) == belady_misses(plain, 1, 32, 2)
     assert data_blocks(noisy, 32) == stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(accesses=st.lists(st.tuples(st.booleans(), st.integers(0, 2047),
+                                   st.sampled_from([1, 4, 8, 64])), max_size=120),
+       sets=st.lists(st.sampled_from([1, 2, 4, 16]), min_size=1, max_size=3),
+       bsizes=st.lists(st.sampled_from([8, 32, 64]), min_size=1, max_size=2),
+       assocs=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4))
+def test_sweep_matches_lru_cache_and_victim_search_belady(accesses, sets, bsizes, assocs):
+    # 64-byte accesses at unaligned addresses span blocks; lists may repeat
+    # and come unsorted, and the trace may be empty.
+    records = [(store if w else load)(addr, size) for w, addr, size in accesses]
+    geometries = [(n, b) for n in sets for b in bsizes]
+    want = [("lru", n, b, a, direct_misses(records, n, b, a))
+            for n, b in geometries for a in assocs]
+    want += [("opt", n, b, a, belady_victim_misses(data_blocks(records, b), n, a))
+             for n, b in geometries for a in assocs]
+    rows = sweep(records, geometries, assocs, opt=True)
+    assert [(r.policy, r.nsets, r.bsize, r.assoc, r.misses) for r in rows] == want
+    for r in rows:
+        total = len(data_blocks(records, r.bsize))
+        assert r.miss_rate == (r.misses / total if total else 0.0)
