@@ -16,6 +16,7 @@ import warnings
 from dataclasses import replace
 
 from .config import (
+    DEFAULT_HIERARCHY_ARGS,
     ConfigError,
     HierarchySpec,
     TimingSpec,
@@ -26,7 +27,6 @@ from .config import (
 from .hierarchy import TOTAL_REGION, Hierarchy
 from .report import (
     export,
-    export_combined,
     render_region_profile,
     render_simcache,
     render_sweep_table,
@@ -150,8 +150,7 @@ def _format(tok):
 _WANTED = {_int: "an integer", _ints: "a comma-separated integer list",
            _seconds: "a finite number", _format: "text, csv or json"}
 
-_HIER_FLAGS = ("-cache:il1", "-cache:il2", "-cache:dl1", "-cache:dl2",
-               "-tlb:itlb", "-tlb:dtlb", "-flush")
+_HIER_FLAGS = tuple(DEFAULT_HIERARCHY_ARGS)
 _GEN_FLAGS = ("--start", "--count", "--stride", "--base", "--ws", "--iters",
               "--seed", "--range")
 
@@ -236,7 +235,7 @@ def _simulate(h, t, opts, trace_path, simcache):
                          (b.executed, b.taken, b.not_taken))
     fmt = opts.get("fmt", "text")
     if fmt != "text":
-        text = export(report, fmt) if cycles is None else export_combined(report, cycles, fmt)
+        text = export(report if cycles is None else {"sim": report, "cycles": cycles}, fmt)
     else:
         parts = [render_simcache(report)] if simcache else []
         if cycles is not None:
@@ -252,9 +251,10 @@ def _cmd_sim(args) -> int:
     opts, (trace_path,) = _parse(
         args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
         ("<trace>",))
-    mem_lat = opts.get("mem_lat", (18, 2))
-    base = TimingSpec(mem_lat_first=mem_lat[0], mem_lat_next=mem_lat[1],
-                      mem_width=opts.get("mem_width", 8), tlb_lat=opts.get("tlb_lat", 30))
+    given = {k: opts[k] for k in ("mem_width", "tlb_lat") if k in opts}
+    if "mem_lat" in opts:
+        given["mem_lat_first"], given["mem_lat_next"] = opts["mem_lat"]
+    base = TimingSpec(**given)  # the flags not given keep TimingSpec's defaults
     try:
         hspec = parse_hierarchy_args([x for f in _HIER_FLAGS if f in opts for x in (f, opts[f])])
         base.validate()
@@ -263,7 +263,7 @@ def _cmd_sim(args) -> int:
 
     h = Hierarchy(hspec, opts.get("seed", 1))
     t = None
-    if any(k in opts for k in ("mem_lat", "mem_width", "tlb_lat")):
+    if given:
         i_boundary = h.boundary("I")
         d_boundary = h.boundary("D")
         t = replace(
@@ -284,11 +284,18 @@ def _cmd_vexsim(args) -> int:
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{cfg_path} line {line_no}: not valid UTF-8") from None
-    with warnings.catch_warnings():  # restores showwarning on exit
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda msg, *_: print(f"warning: {cfg_path} {msg}", file=sys.stderr)
-        dcache, icache, t = parse_vex_cfg(text)
-    h = Hierarchy(HierarchySpec(il1=icache, dl1=dcache), opts.get("seed", 1))
+    try:
+        with warnings.catch_warnings():  # restores showwarning on exit
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda msg, *_: print(f"warning: {cfg_path} {msg}",
+                                                         file=sys.stderr)
+            dcache, icache, t = parse_vex_cfg(text)
+        hspec = HierarchySpec(il1=icache, dl1=dcache).validate()  # the geometry limit
+    except ConfigError as exc:
+        # Name the file: "<path> line N: ..." like the warnings, else "<path>: ...".
+        sep = " " if str(exc).startswith("line ") else ": "
+        raise ConfigError(f"{cfg_path}{sep}{exc}") from None
+    h = Hierarchy(hspec, opts.get("seed", 1))
     return _simulate(h, t, opts, trace_path, simcache=False)
 
 

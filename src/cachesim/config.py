@@ -10,10 +10,17 @@ Two configuration dialects are supported and normalized into one model:
 
 All parses are pure functions over their inputs; the resulting spec
 objects are immutable.
+
+Each rule is stated once.  ``DEFAULT_HIERARCHY_ARGS`` holds the hierarchy
+flags and their defaults; the CLI's flag list is its keys.  ``_UNIFIABLE``
+says which level may be unified with which data level; both the flag
+decoder and ``HierarchySpec.validate`` read it.  ``CacheSpec.validate``
+holds the power-of-two rule.  ``_VEX_GEOMETRY`` and ``_VEX_TIMING`` list
+every vex.cfg key that is read, with its TimingSpec field and default.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -60,10 +67,12 @@ class MissingKey(ConfigError):
 
 
 class NonNumericValue(ConfigError):
-    def __init__(self, key, text):
-        super().__init__(f"value for {key!r} must be an integer, got {text!r}")
+    def __init__(self, key, text, line_no=None):
+        where = "" if line_no is None else f"line {line_no}: "
+        super().__init__(f"{where}value for {key!r} must be an integer, got {text!r}")
         self.key = key
         self.text = text
+        self.line_no = line_no
 
 
 class GeometryUnderflow(ConfigError):
@@ -162,18 +171,27 @@ def parse_cache_spec(text):
         raise WrongFieldCount(
             f"expected 5 colon-separated fields in {text!r}, got {len(parts)}"
         )
-    name = parts[0]
-    values = {}
     for fname, tok in zip(("nsets", "bsize", "assoc"), parts[1:4]):
         if not tok.isdigit() or str(int(tok)) != tok:
             raise NonNumeric(fname, tok)
-        v = int(tok)
-        if not is_pow2(v):
-            raise NonPowerOfTwo(fname, v)
-        values[fname] = v
     repl = ReplacementPolicy.from_char(parts[4])
-    spec = CacheSpec(name, values["nsets"], values["bsize"], values["assoc"], repl)
-    return spec.validate()
+    return CacheSpec(parts[0], *map(int, parts[1:4]), repl).validate()
+
+
+# The cache levels of a HierarchySpec, in field order.
+_LEVELS = ("il1", "il2", "dl1", "dl2", "itlb", "dtlb")
+
+# Level -> the data levels it may be unified with by naming one; every other
+# level takes only a config string or none.
+_UNIFIABLE = {"il1": ("dl1", "dl2"), "il2": ("dl2",)}
+
+
+def _bad_unification(name, level, target):
+    """The error for ``level``, called ``name`` in the message, given the
+    bare level name ``target`` it may not be unified with."""
+    words = ("a config string", *map(repr, ("none", *_UNIFIABLE.get(level, ()))))
+    return InvalidUnification(f"{name} takes {', '.join(words[:-1])} or {words[-1]}, "
+                              f"not {target!r}")
 
 
 @dataclass(frozen=True)
@@ -189,22 +207,16 @@ class HierarchySpec:
     flush_on_syscall: bool = False
 
     def validate(self):
-        for level, allowed in (("il1", ("dl1", "dl2")), ("il2", ("dl2",))):
-            b = getattr(self, level)
-            if isinstance(b, UnifiedWith) and b.target not in allowed:
-                raise InvalidUnification(
-                    f"{level} may only be unified with {' or '.join(allowed)}, "
-                    f"not {b.target!r}"
-                )
-        for level in ("dl1", "dl2", "itlb", "dtlb"):
-            if isinstance(getattr(self, level), UnifiedWith):
-                raise InvalidUnification(f"{level} cannot be a unified level")
+        bindings = [getattr(self, level) for level in _LEVELS]
+        for level, b in zip(_LEVELS, bindings):
+            if isinstance(b, UnifiedWith) and b.target not in _UNIFIABLE.get(level, ()):
+                raise _bad_unification(level, level, b.target)
         if self.dl2 is not None and self.dl1 is None:
             raise ConfigError("dl2 is configured but dl1 is none")
         if isinstance(self.il2, CacheSpec) and self.il1 is None:
             raise ConfigError("il2 is configured but il1 is none")
         names = set()
-        for b in (self.il1, self.il2, self.dl1, self.dl2, self.itlb, self.dtlb):
+        for b in bindings:
             if isinstance(b, CacheSpec):
                 b.validate().check_size()
                 if b.name in names:
@@ -224,39 +236,31 @@ DEFAULT_HIERARCHY_ARGS = {
     "-flush": "false",
 }
 
-_UNIFY_TARGETS = {
-    "-cache:il1": ("dl1", "dl2"),
-    "-cache:il2": ("dl2",),
-    "-cache:dl1": (),
-    "-cache:dl2": (),
-}
+# Level -> the flag that configures it.
+_LEVEL_FLAGS = {flag.split(":")[1]: flag for flag in DEFAULT_HIERARCHY_ARGS if flag != "-flush"}
 
 
-def _decode_cache_value(flag, value):
+def _decode_level(level, merged):
+    """Decode one level's flag value: a config string, ``none``, or the bare
+    name of a data level to unify with.  A unification whose target is
+    itself ``none`` degrades to none, which keeps the default
+    ``-cache:il2 dl2`` usable alongside ``-cache:dl2 none``."""
+    flag = _LEVEL_FLAGS[level]
+    value = merged[flag]
     if value == "none":
         return None
-    if ":" not in value:
-        # A bare level name requests unification.
-        if value in ("dl1", "dl2") and value in _UNIFY_TARGETS.get(flag, ()):
-            return UnifiedWith(value)
-        raise InvalidUnification(f"{flag} may not be pointed at {value!r}")
-    return parse_cache_spec(value)
-
-
-def _decode_tlb_value(flag, value):
-    if value == "none":
-        return None
-    if ":" not in value:
-        raise InvalidUnification(f"{flag} takes a config string or 'none', not {value!r}")
-    return parse_cache_spec(value)
+    if ":" in value:
+        return parse_cache_spec(value)
+    if value not in _UNIFIABLE.get(level, ()):
+        raise _bad_unification(flag, level, value)
+    return None if merged[_LEVEL_FLAGS[value]] == "none" else UnifiedWith(value)
 
 
 def parse_hierarchy_args(args):
     """Decode ``-cache:*`` / ``-tlb:*`` / ``-flush`` flag/value pairs.
 
-    Unspecified flags take the standard sim-cache defaults.  A unification
-    binding whose target level ends up disabled degrades to none, which
-    keeps the default ``-cache:il2 dl2`` usable alongside ``-cache:dl2 none``.
+    Unspecified flags take the standard sim-cache defaults; a unification
+    whose target level is ``none`` degrades to none.
     """
     merged = dict(DEFAULT_HIERARCHY_ARGS)
     if len(args) % 2 != 0:
@@ -269,23 +273,8 @@ def parse_hierarchy_args(args):
     if merged["-flush"] not in ("true", "false"):
         raise ConfigError(f"-flush takes 'true' or 'false', got {merged['-flush']!r}")
 
-    spec = HierarchySpec(
-        il1=_decode_cache_value("-cache:il1", merged["-cache:il1"]),
-        il2=_decode_cache_value("-cache:il2", merged["-cache:il2"]),
-        dl1=_decode_cache_value("-cache:dl1", merged["-cache:dl1"]),
-        dl2=_decode_cache_value("-cache:dl2", merged["-cache:dl2"]),
-        itlb=_decode_tlb_value("-tlb:itlb", merged["-tlb:itlb"]),
-        dtlb=_decode_tlb_value("-tlb:dtlb", merged["-tlb:dtlb"]),
-        flush_on_syscall=merged["-flush"] == "true",
-    )
-
-    # Degrade unifications that point at a disabled level.
-    levels = {"dl1": spec.dl1, "dl2": spec.dl2}
-    if isinstance(spec.il1, UnifiedWith) and levels[spec.il1.target] is None:
-        spec = replace(spec, il1=None)
-    if isinstance(spec.il2, UnifiedWith) and levels[spec.il2.target] is None:
-        spec = replace(spec, il2=None)
-    return spec.validate()
+    return HierarchySpec(**{level: _decode_level(level, merged) for level in _LEVELS},
+                         flush_on_syscall=merged["-flush"] == "true").validate()
 
 
 @dataclass(frozen=True)
@@ -314,39 +303,30 @@ class TimingSpec:
                 f"need core_clk_mhz >= bus_clk_mhz > 0, got "
                 f"{self.core_clk_mhz}/{self.bus_clk_mhz}"
             )
-        for fname in (
-            "miss_penalty",
-            "wb_penalty",
-            "icache_penalty",
-            "branch_stall",
-            "tlb_lat",
-            "mem_lat_first",
-            "mem_lat_next",
-        ):
-            if getattr(self, fname) < 0:
-                raise ConfigError(f"{fname} must be >= 0")
+        for f in fields(self):
+            if f.name not in ("core_clk_mhz", "bus_clk_mhz", "mem_width") \
+                    and getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be >= 0")
         if not is_pow2(self.mem_width):
             raise NonPowerOfTwo("mem_width", self.mem_width)
-        if self.num_caches < 0:
-            raise ConfigError("num_caches must be >= 0")
         return self
 
 
-# Geometry and timing keys consumed from a vex.cfg file.
-_VEX_REQUIRED = (
-    "lg2CacheSize",
-    "lg2Sets",
-    "lg2LineSize",
-    "lg2ICacheSize",
-    "lg2ICacheSets",
-    "lg2ICacheLineSize",
-    "MissPenalty",
-    "WBPenalty",
-    "ICachePenalty",
-    "CoreCkFreq",
-    "BusCkFreq",
-)
-_VEX_OPTIONAL = {"BranchStall": 1, "NumCaches": 1}
+# vex.cfg geometry keys: cache name -> (lg2 size, lg2 ways, lg2 line size).
+_VEX_GEOMETRY = {
+    "dcache": ("lg2CacheSize", "lg2Sets", "lg2LineSize"),
+    "icache": ("lg2ICacheSize", "lg2ICacheSets", "lg2ICacheLineSize"),
+}
+# vex.cfg timing keys: key -> (TimingSpec field, default or None if required).
+_VEX_TIMING = {
+    "CoreCkFreq": ("core_clk_mhz", None),
+    "BusCkFreq": ("bus_clk_mhz", None),
+    "MissPenalty": ("miss_penalty", None),
+    "WBPenalty": ("wb_penalty", None),
+    "ICachePenalty": ("icache_penalty", None),
+    "BranchStall": ("branch_stall", 1),
+    "NumCaches": ("num_caches", 1),
+}
 
 # Recognized but unused: these parse without a warning and are ignored;
 # no mechanism is modeled for them.
@@ -361,9 +341,10 @@ _VEX_IGNORED = {
     "LockEnable",
     "ProfGranularity",
 }
+_VEX_KEYS = {*_VEX_TIMING, *_VEX_IGNORED, *(k for keys in _VEX_GEOMETRY.values() for k in keys)}
 
 
-def _vex_geometry(name, kv, size_key, sets_key, line_key):
+def _vex_geometry(kv, name, size_key, sets_key, line_key):
     size = 1 << _vex_int(kv, size_key)
     assoc = 1 << _vex_int(kv, sets_key)
     bsize = 1 << _vex_int(kv, line_key)
@@ -385,7 +366,7 @@ def _vex_int(kv, key, default=None):
     try:
         v = int(text)
     except ValueError:
-        raise NonNumericValue(key, text) from None
+        raise NonNumericValue(key, text, line_no) from None
     if key.startswith("lg2") and not 0 <= v <= 48:
         raise ConfigError(f"line {line_no}: {key} out of range: {v}")
     return v
@@ -408,22 +389,12 @@ def parse_vex_cfg(text):
         if len(toks) != 2:
             raise ConfigError(f"line {line_no}: expected 'Key Value', got {raw!r}")
         key, value = toks
-        if key not in _VEX_REQUIRED and key not in _VEX_OPTIONAL and key not in _VEX_IGNORED:
+        if key not in _VEX_KEYS:
             warnings.warn(f"line {line_no}: ignoring unknown key {key!r}")
             continue
         kv[key] = (value, line_no)
 
-    dcache = _vex_geometry("dcache", kv, "lg2CacheSize", "lg2Sets", "lg2LineSize")
-    icache = _vex_geometry(
-        "icache", kv, "lg2ICacheSize", "lg2ICacheSets", "lg2ICacheLineSize"
-    )
-    timing = TimingSpec(
-        core_clk_mhz=_vex_int(kv, "CoreCkFreq"),
-        bus_clk_mhz=_vex_int(kv, "BusCkFreq"),
-        miss_penalty=_vex_int(kv, "MissPenalty"),
-        wb_penalty=_vex_int(kv, "WBPenalty"),
-        icache_penalty=_vex_int(kv, "ICachePenalty"),
-        branch_stall=_vex_int(kv, "BranchStall", _VEX_OPTIONAL["BranchStall"]),
-        num_caches=_vex_int(kv, "NumCaches", _VEX_OPTIONAL["NumCaches"]),
-    ).validate()
+    dcache, icache = (_vex_geometry(kv, name, *keys) for name, keys in _VEX_GEOMETRY.items())
+    timing = TimingSpec(**{f: _vex_int(kv, key, default)
+                           for key, (f, default) in _VEX_TIMING.items()}).validate()
     return dcache, icache, timing

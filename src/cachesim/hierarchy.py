@@ -17,10 +17,15 @@ Routing rules:
   so the walk itself knows nothing of regions.  TOTAL is the global
   counters; records after ``R TOTAL`` belong to no named region.
 
-Unified levels alias one Cache object, which is reported once under its
-own name.  Per-level "routed" counters record exactly how many accesses
-were forwarded into each lower cache (refills and writebacks separately),
-so `l2.accesses == routed refills + routed writebacks` is checkable.
+Bindings resolve in one pass over the levels, data levels first, so a
+unified level aliases the Cache object of the data level it names; that
+object is reported once under its own name.  Fetches follow il1: with
+il1 unified they enter the data chain at its target, with il1 none they
+touch no cache, even when il2 is unified with dl2.
+
+Per-level "routed" counters record exactly how many accesses were
+forwarded into each lower cache (refills and writebacks separately), so
+`l2.accesses == routed refills + routed writebacks` is checkable.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
@@ -33,7 +38,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .cache import HIT, MISS_REPLACE_DIRTY, Cache, CacheStats
-from .config import CacheSpec, HierarchySpec, UnifiedWith
+from .config import HierarchySpec, UnifiedWith
 from .timing import TimingEvent
 
 TOTAL_REGION = "TOTAL"
@@ -85,34 +90,31 @@ class Hierarchy:
         self.seed = seed
         self.flush_on_syscall = spec.flush_on_syscall
 
-        def make(s):
-            return Cache(s, _cache_seed(seed, s.name)) if isinstance(s, CacheSpec) else None
-
-        dl1 = make(spec.dl1)
-        dl2 = make(spec.dl2)
-        data_obj = {"dl1": dl1, "dl2": dl2}
-
-        il1 = dl2 if isinstance(spec.il1, UnifiedWith) and spec.il1.target == "dl2" \
-            else dl1 if isinstance(spec.il1, UnifiedWith) else make(spec.il1)
-        il2 = data_obj[spec.il2.target] if isinstance(spec.il2, UnifiedWith) else make(spec.il2)
-        itlb = make(spec.itlb)
-        dtlb = make(spec.dtlb)
+        # One Cache per configured level; a unified level aliases the Cache
+        # of its target, which the data levels coming first have built.
+        level = {}
+        for name in ("dl1", "dl2", "il1", "il2", "itlb", "dtlb"):
+            b = getattr(spec, name)
+            if isinstance(b, UnifiedWith):
+                b = level[b.target]
+            elif b is not None:
+                b = Cache(b, _cache_seed(seed, b.name))
+            level[name] = b
+        dl1, dl2, il1, il2, self.itlb, self.dtlb = level.values()
 
         self.d_path = [c for c in (dl1, dl2) if c is not None]
         if il1 is None:
-            self.i_path = []
+            self.i_path = []  # even when il2 is unified with dl2
         elif isinstance(spec.il1, UnifiedWith):
             # Fetches enter the data chain and follow it down.
-            start = self.d_path.index(il1)
-            self.i_path = self.d_path[start:]
+            self.i_path = self.d_path[self.d_path.index(il1):]
         else:
-            self.i_path = [il1] + ([il2] if il2 is not None else [])
-        self.itlb = itlb
-        self.dtlb = dtlb
+            self.i_path = [c for c in (il1, il2) if c is not None]
 
         # Distinct caches once each, keyed and reported by their own name.
         # (Unified levels alias one object; spec validation keeps names unique.)
-        self.caches = {c.name: c for c in (il1, dl1, il2, dl2, itlb, dtlb) if c is not None}
+        self.caches = {c.name: c for c in (il1, dl1, il2, dl2, self.itlb, self.dtlb)
+                       if c is not None}
 
         # Access ledger: demand accesses entering a cache from the trace
         # versus accesses forwarded into it from the level above, so

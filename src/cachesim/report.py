@@ -81,27 +81,19 @@ def _paren_pct(numer, denom, width=6):
 
 
 def _mem_block(title, rep, show_access_pct):
-    lines = [f"{title} Operations:"]
-    acc = rep.accesses
-    lines.append(_row("  Accesses:", acc, " (100.00%)" if show_access_pct and acc else ""))
-    if acc > 0:
-        lines.append(_row("  Hits (Hit Rate):", rep.hits, _paren_pct(rep.hits, acc)))
-        lines.append(_row("  Misses (Miss Rate):", rep.misses, _paren_pct(rep.misses, acc)))
-    else:
-        lines.append(_row("  Hits (Hit Rate):", rep.hits))
-        lines.append(_row("  Misses (Miss Rate):", rep.misses))
-    lines.append(f"{title} Stall Cycles")
-    st = rep.stall_total
-    if st > 0:
-        lines.append(_row("  Total (in cycles):", st, " (100.00%)"))
-        lines.append(_row("  Due to Misses:", rep.stall_miss, _paren_pct(rep.stall_miss, st)))
-        lines.append(_row("  Due to Bus Conflicts:", rep.stall_bus_conflict,
-                          _paren_pct(rep.stall_bus_conflict, st)))
-    else:
-        lines.append(_row("  Total (in cycles):", st))
-        lines.append(_row("  Due to Misses:", rep.stall_miss))
-        lines.append(_row("  Due to Bus Conflicts:", rep.stall_bus_conflict))
-    return lines
+    def share(label, count, whole):
+        """A row with count's share of whole, or with no share when whole is 0."""
+        return _row(label, count, _paren_pct(count, whole) if whole > 0 else "")
+
+    acc, st = rep.accesses, rep.stall_total
+    return [f"{title} Operations:",
+            share("  Accesses:", acc, acc if show_access_pct else 0),
+            share("  Hits (Hit Rate):", rep.hits, acc),
+            share("  Misses (Miss Rate):", rep.misses, acc),
+            f"{title} Stall Cycles",
+            share("  Total (in cycles):", st, st),
+            share("  Due to Misses:", rep.stall_miss, st),
+            share("  Due to Bus Conflicts:", rep.stall_bus_conflict, st)]
 
 
 def render_vex_summary(report: CycleReport, core_clk_mhz=None) -> str:
@@ -170,25 +162,6 @@ def render_region_profile(report: SimReport, t: TimingSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sim_report_dict(report: SimReport) -> dict:
-    return asdict(report)
-
-
-def cycle_report_dict(report: CycleReport) -> dict:
-    return asdict(report)
-
-
-def sweep_rows_dicts(rows) -> list:
-    out = []
-    for r in rows:
-        d = {"nsets": r.nsets, "bsize": r.bsize, "assoc": r.assoc,
-             "misses": r.misses, "miss_rate": r.miss_rate}
-        if r.policy is not None:
-            d["policy"] = r.policy
-        out.append(d)
-    return out
-
-
 def _flatten(prefix, value, out):
     if isinstance(value, dict):
         for k, v in value.items():
@@ -197,68 +170,55 @@ def _flatten(prefix, value, out):
         out.append((prefix, value))
 
 
-def _kv_csv(d):
+def _csv(rows):
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["key", "value"])
-    flat = []
-    _flatten("", d, flat)
-    for k, v in flat:
-        w.writerow([k, v])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _sweep_csv(rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    with_policy = any(r.policy is not None for r in rows)
-    if with_policy:
-        w.writerow(["policy", "nsets", "bsize", "assoc", "misses", "miss_rate"])
-        for r in rows:
-            w.writerow([r.policy or "lru", r.nsets, r.bsize, r.assoc, r.misses,
-                        repr(r.miss_rate)])
-    else:
-        w.writerow(["nsets", "bsize", "assoc", "misses", "miss_rate"])
-        for r in rows:
-            w.writerow([r.nsets, r.bsize, r.assoc, r.misses, repr(r.miss_rate)])
-    return buf.getvalue()
+def _sweep_csv_rows(rows):
+    """Header and sweep rows, led by a policy column when any row has one."""
+    policy = any(r.policy is not None for r in rows)
+    yield (["policy"] if policy else []) + ["nsets", "bsize", "assoc", "misses", "miss_rate"]
+    for r in rows:
+        yield (([r.policy or "lru"] if policy else [])
+               + [r.nsets, r.bsize, r.assoc, r.misses, repr(r.miss_rate)])
 
 
 def render_sweep_table(rows) -> str:
-    with_policy = any(r.policy is not None for r in rows)
-    head = f"{'nsets':>6} {'bsize':>6} {'assoc':>6} {'misses':>10} {'miss_rate':>10}"
-    if with_policy:
-        head = f"{'policy':>6} " + head
-    lines = [head]
+    """The sweep rows, led by a policy column when any row has one."""
+    policy = any(r.policy is not None for r in rows)
+    lines = [(f"{'policy':>6} " if policy else "")
+             + f"{'nsets':>6} {'bsize':>6} {'assoc':>6} {'misses':>10} {'miss_rate':>10}"]
     for r in rows:
-        line = (f"{r.nsets:>6} {r.bsize:>6} {r.assoc:>6} {r.misses:>10} "
-                f"{fixed(r.miss_rate, 6):>10}")
-        if with_policy:
-            line = f"{r.policy or 'lru':>6} " + line
-        lines.append(line)
+        lines.append((f"{r.policy or 'lru':>6} " if policy else "")
+                     + f"{r.nsets:>6} {r.bsize:>6} {r.assoc:>6} {r.misses:>10} "
+                     f"{fixed(r.miss_rate, 6):>10}")
     return "\n".join(lines) + "\n"
 
 
-def export_combined(report: SimReport, cycles: CycleReport, fmt: str) -> str:
-    """One document holding both the simulation and cycle reports."""
-    if fmt not in ("csv", "json"):
-        raise UnsupportedFormat(f"unsupported format {fmt!r}: use 'csv' or 'json'")
-    d = {"sim": sim_report_dict(report), "cycles": cycle_report_dict(cycles)}
-    return json.dumps(d, indent=2) + "\n" if fmt == "json" else _kv_csv(d)
-
-
 def export(obj, fmt: str) -> str:
-    """Serialize a SimReport, CycleReport or sweep row list losslessly."""
+    """Serialize losslessly a SimReport, a CycleReport, a dict of such
+    reports by name (one combined document), or a list of SweepRows.
+
+    JSON is the dataclass fields (a sweep row without a policy omits it);
+    CSV is one ``key,value`` line per flattened field, or for sweep rows
+    the table ``render_sweep_table`` prints, one row per line."""
     if fmt not in ("csv", "json"):
         raise UnsupportedFormat(f"unsupported format {fmt!r}: use 'csv' or 'json'")
-    if isinstance(obj, SimReport):
-        d = sim_report_dict(obj)
-        return json.dumps(d, indent=2) + "\n" if fmt == "json" else _kv_csv(d)
-    if isinstance(obj, CycleReport):
-        d = cycle_report_dict(obj)
-        return json.dumps(d, indent=2) + "\n" if fmt == "json" else _kv_csv(d)
-    if isinstance(obj, list) and all(isinstance(r, SweepRow) for r in obj):
-        if fmt == "json":
-            return json.dumps(sweep_rows_dicts(obj), indent=2) + "\n"
-        return _sweep_csv(obj)
-    raise TypeError(f"cannot export object of type {type(obj).__name__}")
+    if isinstance(obj, (SimReport, CycleReport)):
+        d = asdict(obj)
+    elif isinstance(obj, dict) and all(isinstance(r, (SimReport, CycleReport))
+                                       for r in obj.values()):
+        d = {name: asdict(r) for name, r in obj.items()}
+    elif isinstance(obj, list) and all(isinstance(r, SweepRow) for r in obj):
+        if fmt == "csv":
+            return _csv(_sweep_csv_rows(obj))
+        d = [{k: v for k, v in asdict(r).items() if v is not None} for r in obj]
+    else:
+        raise TypeError(f"cannot export object of type {type(obj).__name__}")
+    if fmt == "json":
+        return json.dumps(d, indent=2) + "\n"
+    rows = [("key", "value")]
+    _flatten("", d, rows)
+    return _csv(rows)

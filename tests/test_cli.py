@@ -5,7 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cachesim import branch, inst, load, region, store, syscall, write_trace_path
 from cachesim.cli import _OPTIONS, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 VEX_CFG = """\
 CoreCkFreq      1000
@@ -199,6 +202,19 @@ def test_vexsim_bad_cfg_exits_2(capsys, tmp_path, trace_file):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("MissPenalty     36\n", "", "{p}: required key 'MissPenalty' missing"),
+    ("MissPenalty     36", "MissPenalty many",
+     "{p} line 6: value for 'MissPenalty' must be an integer, got 'many'"),
+    ("lg2CacheSize    16", "lg2CacheSize    40",
+     "{p}: cache 'dcache' has 8589934592 sets x 4 ways, over the limit of 1048576 lines"),
+])
+def test_vexsim_cfg_errors_name_the_file(capsys, tmp_path, trace_file, old, new, message):
+    p = tmp_path / "vex.cfg"
+    p.write_text(VEX_CFG.replace(old, new))
+    assert run_cli(capsys, "vexsim", str(p), trace_file) == (2, "", f"error: {message.format(p=p)}\n")
+
+
 def test_vexsim_usage(capsys, cfg_file):
     assert run_cli(capsys, "vexsim", cfg_file)[0] == 1
 
@@ -271,8 +287,42 @@ def test_sweep_opt_matches_golden_bytes(capsys, tmp_path, fmt, ext):
     out = tmp_path / f"sweep.{ext}"
     assert main(["sweep", "--sets", "1,16,128", "--bsize", "32,64", "--assoc", "1,2,4,8,16",
                  "--opt", "--format", fmt, "--out", str(out), str(trace)]) == 0
-    golden = Path(__file__).parent / "golden" / f"sweep_opt.{ext}"
-    assert out.read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"sweep_opt.{ext}").read_bytes()
+
+
+def _mixed_trace(n=4000):
+    """Fetches, block-spanning loads and stores, branches, a syscall and three
+    re-entered regions, then ``R TOTAL``; from a fixed linear congruential
+    sequence, so no library's randomness can change it."""
+    records, x = [], 1
+    for i in range(n):
+        if i % 700 == 0:
+            records.append(region(("setup", "kernel", "reduce")[i // 700 % 3]))
+        x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+        r = x >> 12
+        records.append(inst(0x400000 + i * 4 % 0x6000, 1 + r % 4))
+        span = 0x1000 if r & 0x40 else 0x40000  # a hot 4 KiB and a cold 256 KiB
+        addr, size = 0x10000000 + (r * 7) % span, 1 << (r >> 3) % 4
+        if r % 3 == 0:
+            records.append(load(addr, size))
+        elif r % 3 == 1:
+            records.append(store(addr, size))
+        if r % 5 == 0:
+            records.append(branch(r >> 5 & 1))
+    return records + [syscall(), region("TOTAL"), inst(0x400000), load(0x10000000, 4)]
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+@pytest.mark.parametrize("cmd, trace_name", [("sim", "t.ct"), ("vexsim", "t.ctb")])
+def test_sim_and_vexsim_match_golden_bytes(tmp_path, cmd, trace_name, fmt, ext):
+    trace = tmp_path / trace_name
+    write_trace_path(trace, _mixed_trace())
+    cfg = tmp_path / "vex.cfg"
+    cfg.write_text(VEX_CFG)
+    argv = ["sim", "-mem:lat", "18", "2"] if cmd == "sim" else ["vexsim", str(cfg)]
+    out = tmp_path / f"out.{ext}"
+    assert main([*argv, "--clock", "1", "--format", fmt, "--out", str(out), str(trace)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{cmd}_mixed.{ext}").read_bytes()
 
 
 def test_sweep_requires_power_of_two(capsys, trace_file):

@@ -248,8 +248,9 @@ def test_vex_missing_key():
 
 def test_vex_non_numeric_value():
     broken = VEX_CFG.replace("MissPenalty     36", "MissPenalty many")
-    with pytest.raises(NonNumericValue):
+    with pytest.raises(NonNumericValue, match="^line 6: ") as exc:
         parse_vex_cfg(broken)
+    assert (exc.value.key, exc.value.text, exc.value.line_no) == ("MissPenalty", "many", 6)
 
 
 def test_vex_geometry_underflow():

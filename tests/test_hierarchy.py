@@ -38,6 +38,28 @@ def test_default_build_has_five_distinct_caches():
     assert h.i_path[-1] is h.d_path[-1] is h.caches["ul2"]
 
 
+@pytest.mark.parametrize("args, i_path, d_path, caches", [
+    ([], ["il1", "ul2"], ["dl1", "ul2"], ["il1", "dl1", "ul2", "itlb", "dtlb"]),
+    (["-cache:il1", "none"], [], ["dl1", "ul2"], ["dl1", "ul2", "itlb", "dtlb"]),
+    (["-cache:il1", "dl1"], ["dl1", "ul2"], ["dl1", "ul2"], ["dl1", "ul2", "itlb", "dtlb"]),
+    (["-cache:il1", "dl2"], ["ul2"], ["dl1", "ul2"], ["ul2", "dl1", "itlb", "dtlb"]),
+    (["-cache:il2", "il2:512:64:2:l"], ["il1", "il2"], ["dl1", "ul2"],
+     ["il1", "dl1", "il2", "ul2", "itlb", "dtlb"]),
+    (["-cache:dl2", "none"], ["il1"], ["dl1"], ["il1", "dl1", "itlb", "dtlb"]),
+    (["-cache:il1", "dl2", "-cache:dl2", "none"], [], ["dl1"], ["dl1", "itlb", "dtlb"]),
+    (["-cache:dl1", "none", "-cache:dl2", "none"], ["il1"], [], ["il1", "itlb", "dtlb"]),
+    (["-tlb:itlb", "none", "-tlb:dtlb", "none"], ["il1", "ul2"], ["dl1", "ul2"],
+     ["il1", "dl1", "ul2"]),
+])
+def test_bindings_resolve_to_paths_and_caches(args, i_path, d_path, caches):
+    h = build(args)
+    assert [c.name for c in h.i_path] == i_path
+    assert [c.name for c in h.d_path] == d_path
+    assert list(h.caches) == caches
+    assert all(h.caches[c.name] is c for c in h.i_path + h.d_path)
+    assert (h.itlb is None, h.dtlb is None) == ("itlb" not in caches, "dtlb" not in caches)
+
+
 def test_fully_unified_l1_shares_one_object():
     h = build(["-cache:dl1", "ul1:256:32:1:l", "-cache:il1", "dl1",
                "-cache:dl2", "none", "-cache:il2", "none"])
