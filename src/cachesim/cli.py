@@ -34,8 +34,8 @@ from .report import (
 )
 from .sweep import sweep
 from .timing import account, main_memory_latency
-from .trace import TraceSyntaxError, gen_loop, gen_random, gen_sequential, \
-    read_trace_path, write_trace, write_trace_path
+from .trace import TraceSyntaxError, gen_loop, gen_random, gen_sequential, read_rows, \
+    write_trace, write_trace_path
 
 USAGE = """\
 usage: cachesim <command> [options]
@@ -225,7 +225,7 @@ def _simulate(h, t, opts, trace_path, simcache):
     it is given, and emit the report.  Text output leads with the classic
     statistics when ``simcache`` is set, then the cycle summary and, for a
     trace with named regions, the region profile."""
-    report = h.run(read_trace_path(trace_path), collect_events=t is not None,
+    report = h.run(read_rows(trace_path), collect_events=t is not None,
                    clock=_make_clock(opts.get("clock")))
     cycles = None
     if t is not None:
@@ -310,7 +310,7 @@ def _cmd_sweep(args) -> int:
             if not is_pow2(v):
                 raise _UsageError(f"{flag} values must be powers of two, got {v}")
 
-    rows = sweep(list(read_trace_path(trace_path)), [(n, b) for n in sets for b in bsizes],
+    rows = sweep(list(read_rows(trace_path)), [(n, b) for n in sets for b in bsizes],
                  assocs, opt=opts.get("opt", False))
     fmt = opts.get("fmt", "text")
     _emit(render_sweep_table(rows) if fmt == "text" else export(rows, fmt), opts.get("out"))

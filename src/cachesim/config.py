@@ -213,8 +213,11 @@ class HierarchySpec:
                 raise _bad_unification(level, level, b.target)
         if self.dl2 is not None and self.dl1 is None:
             raise ConfigError("dl2 is configured but dl1 is none")
-        if isinstance(self.il2, CacheSpec) and self.il1 is None:
-            raise ConfigError("il2 is configured but il1 is none")
+        if isinstance(self.il2, CacheSpec) and not isinstance(self.il1, CacheSpec):
+            # Fetches follow il1: with il1 unified they take the data chain.
+            il1 = "none" if self.il1 is None else \
+                f"unified with {self.il1.target}, so fetches never reach il2"
+            raise ConfigError(f"il2 is configured but il1 is {il1}")
         names = set()
         for b in bindings:
             if isinstance(b, CacheSpec):
@@ -350,8 +353,8 @@ def _vex_geometry(kv, name, size_key, sets_key, line_key):
     bsize = 1 << _vex_int(kv, line_key)
     if size < bsize * assoc:
         raise GeometryUnderflow(
-            f"{size_key}: cache of {size} bytes cannot hold {assoc} ways of "
-            f"{bsize}-byte lines"
+            f"line {kv[size_key][1]}: {size_key}: cache of {size} bytes cannot hold "
+            f"{assoc} ways of {bsize}-byte lines"
         )
     nsets = size // (bsize * assoc)
     return CacheSpec(name, nsets, bsize, assoc, ReplacementPolicy.LRU).validate()

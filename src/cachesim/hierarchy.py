@@ -219,49 +219,49 @@ class Hierarchy:
             block += 1
 
     def _step(self, rec):
-        k = rec.kind
-        if k == "L" or k == "S":
-            self._now = self.sim_num_insn
-            self.sim_num_refs += 1
-            tlb, entry, size, write, side = self.dtlb, self._d_entry, rec.size, k == "S", "D"
-        elif k == "I":
+        code, addr, arg = rec  # a trace row; see the trace module
+        if code == 0:  # I: arg is the op count
             self._now = self.sim_num_insn
             self.sim_num_insn += 1
-            self.ops_executed += rec.ops
+            self.ops_executed += arg
             tlb, entry, size, write, side = self.itlb, self._i_entry, 1, False, "I"
-        elif k == "B":
+        elif code == 1 or code == 2:  # L, S: arg is the size
+            self._now = self.sim_num_insn
+            self.sim_num_refs += 1
+            tlb, entry, size, write, side = self.dtlb, self._d_entry, arg, code == 2, "D"
+        elif code == 3:  # B: arg is the taken flag
             b = self.branches
             b.executed += 1
-            if rec.taken:
+            if arg:
                 b.taken += 1
                 if self.events is not None:
                     self.events.append(TimingEvent("branch", self._now, 0))
             else:
                 b.not_taken += 1
             return
-        elif k == "Y":
+        elif code == 4:  # Y
             if self.flush_on_syscall:
                 for c in self.caches.values():
                     c.flush()
             return
-        elif k == "R":
+        elif code == 5:  # R: arg is the region name
             self._credit()
-            self.current_region = rec.name
-            if rec.name != TOTAL_REGION:
-                self._regions.setdefault(rec.name, [0] * len(self._mark))
+            self.current_region = arg
+            if arg != TOTAL_REGION:
+                self._regions.setdefault(arg, [0] * len(self._mark))
             return
         else:
-            raise ValueError(f"unknown trace record kind {k!r}")
+            raise ValueError(f"unknown trace record kind code {code!r}")
         # The TLB -> L1 entry both access kinds share (inline: it runs on
         # most records, so it costs no extra call).
         if tlb is not None:
-            code = tlb._access(rec.addr, False)
+            result = tlb._access(addr, False)
             self.entry_accesses[tlb.name] += 1
             if self._log is not None:
-                self._log.append((tlb.name, tlb.outcome(code)))
+                self._log.append((tlb.name, tlb.outcome(result)))
         if entry is not None:
             self.entry_accesses[entry[0].name] += self._access_level(
-                entry, rec.addr, size, write, side)
+                entry, addr, size, write, side)
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]
@@ -274,7 +274,8 @@ class Hierarchy:
         return log
 
     def run(self, records, collect_events=False, clock=time.time):
-        """Fold every record of the trace and return a SimReport.
+        """Fold every record of the trace (TraceRecords or decoder rows)
+        and return a SimReport.
 
         ``clock`` is called once before and once after the loop; injecting
         a fake clock makes the wall-time fields reproducible.  Elapsed time

@@ -24,12 +24,9 @@ from dataclasses import dataclass, field
 
 def block_refs(records, bsize):
     """Yield the block-number stream of a trace's data references."""
-    for r in records:
-        k = r.kind
-        if k == "L" or k == "S":
-            first = r.addr // bsize
-            last = (r.addr + r.size - 1) // bsize
-            yield from range(first, last + 1)
+    for code, addr, size in records:
+        if code == 1 or code == 2:  # L, S
+            yield from range(addr // bsize, (addr + size - 1) // bsize + 1)
 
 
 @dataclass

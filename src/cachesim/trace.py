@@ -13,13 +13,35 @@ Binary format (``.ctb``): fixed 11-byte records of 1-byte kind code,
 8-byte little-endian address, 2-byte little-endian size/ops field.
 Region records append the UTF-8 name bytes (length in the 2-byte field)
 after the fixed part.  Kind codes are I=0 L=1 S=2 B=3 Y=4 R=5.
+
+In memory a record is one row, a 3-tuple ``(code, addr, arg)``: the kind
+code as in ``.ctb``, the address (0 for B, Y and R) and one argument,
+the op count (I), the size in bytes (L, S), the taken flag (B), 0 (Y) or
+the region name (R).  ``TraceRecord`` is a tuple subclass whose items
+are that row, so whatever walks a trace (``for code, addr, arg in
+records``) takes decoder rows and TraceRecords alike.
+
+Each format has one decoder that yields rows.  ``decode_text`` takes
+text lines one at a time.  ``decode_binary`` reads a ``.ctb`` file in
+chunks of ``_CHUNK`` bytes (whole records) and runs
+``struct.iter_unpack`` over each stretch of fixed records; it restarts
+after each region name and carries a partial record, or a region record
+with part of its name, over to the next chunk, so its memory is bounded
+by the chunk size, not the file size.  ``parse_trace``,
+``parse_trace_binary`` and ``read_trace_path`` wrap them to yield
+TraceRecords; ``read_rows`` opens a file of either format as rows.
 """
 
+import io
 import random
 import struct
-from dataclasses import dataclass
+from functools import partial
 
 MAX_ADDR = 2**64 - 1
+_ADDR_END = MAX_ADDR + 1  # an access of size s at a fits when a + s <= _ADDR_END
+
+_KINDS = "ILSBYR"  # kind letter by code
+_KIND_CODES = {k: code for code, k in enumerate(_KINDS)}
 
 
 class TraceSyntaxError(ValueError):
@@ -29,16 +51,32 @@ class TraceSyntaxError(ValueError):
         self.reason = reason
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    """One trace event; the meaning of the extra fields depends on kind."""
+class TraceRecord(tuple):
+    """One trace event, whose items are its row ``(code, addr, arg)``.
 
-    kind: str  # "I", "L", "S", "B", "Y" or "R"
-    addr: int = 0
-    size: int = 0  # bytes touched, L/S only
-    ops: int = 1  # operation count, I only
-    taken: bool = False  # B only
-    name: str = ""  # R only
+    Built from the kind letter and the fields that kind uses, e.g.
+    ``TraceRecord("L", addr=0x10, size=4)``; the fields read back as
+    properties, with the constructor's defaults for the fields a kind does
+    not use.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, addr=0, size=0, ops=1, taken=False, name=""):
+        code = _KIND_CODES.get(kind)
+        if code is None:
+            raise ValueError(f"unknown record kind {kind!r}")
+        return tuple.__new__(cls, (code, addr, (ops, size, size, bool(taken), 0, name)[code]))
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self.kind, self.addr, self.size, self.ops, self.taken, self.name
+
+    kind = property(lambda r: _KINDS[r[0]], doc='"I", "L", "S", "B", "Y" or "R".')
+    addr = property(lambda r: r[1], doc="Address; 0 for B, Y and R.")
+    size = property(lambda r: r[2] if r[0] in (1, 2) else 0, doc="Bytes touched, L/S only.")
+    ops = property(lambda r: r[2] if r[0] == 0 else 1, doc="Operation count, I only.")
+    taken = property(lambda r: r[2] if r[0] == 3 else False, doc="B only.")
+    name = property(lambda r: r[2] if r[0] == 5 else "", doc="R only.")
 
 
 def inst(addr, ops=1):
@@ -85,48 +123,59 @@ def _check_span(addr, size):
         raise ValueError(f"{size}-byte access at {addr:#x} runs past the address space")
 
 
-def parse_trace(lines):
-    """Yield TraceRecords from an iterable of text lines.
+# The rows of B and Y records; each is the same for every record of its kind.
+_TAKEN, _NOT_TAKEN, _SYSCALL = branch(True), branch(False), syscall()
+
+
+def _checked(n, make, *args):
+    """``make(*args)``, a ValueError from it raised as record ``n``'s
+    TraceSyntaxError.  The decoders check the common case inline and call
+    the record constructors only for a rare or failing record, so each
+    rule and its message live in the constructors alone."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise TraceSyntaxError(n, str(exc)) from None
+
+
+def decode_text(lines):
+    """Yield rows from an iterable of text lines.
 
     Raises TraceSyntaxError carrying the 1-based line number on any
     malformed record.
     """
     for line_no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
         kind = toks[0]
-        try:
-            if kind == "I":
-                if len(toks) not in (2, 3):
-                    raise TraceSyntaxError(line_no, "I takes an address and optional op count")
-                ops = _int_field(toks[2], line_no, "op count") if len(toks) == 3 else 1
-                yield inst(_hex_field(toks[1], line_no), ops)
-            elif kind == "L" or kind == "S":
-                if len(toks) != 3:
-                    raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
-                addr = _hex_field(toks[1], line_no)
-                size = _int_field(toks[2], line_no, "size")
-                yield load(addr, size) if kind == "L" else store(addr, size)
-            elif kind == "B":
-                if len(toks) != 2 or toks[1] not in ("T", "N"):
-                    raise TraceSyntaxError(line_no, "B takes T or N")
-                yield branch(toks[1] == "T")
-            elif kind == "Y":
-                if len(toks) != 1:
-                    raise TraceSyntaxError(line_no, "Y takes no arguments")
-                yield syscall()
-            elif kind == "R":
-                if len(toks) != 2:
-                    raise TraceSyntaxError(line_no, "R takes a region name")
-                yield region(toks[1])
-            else:
-                raise TraceSyntaxError(line_no, f"unknown record kind {kind!r}")
-        except ValueError as exc:
-            if isinstance(exc, TraceSyntaxError):
-                raise
-            raise TraceSyntaxError(line_no, str(exc)) from None
+        if kind == "I":
+            if len(toks) not in (2, 3):
+                raise TraceSyntaxError(line_no, "I takes an address and optional op count")
+            ops = _int_field(toks[2], line_no, "op count") if len(toks) == 3 else 1
+            yield (0, _hex_field(toks[1], line_no), ops)
+        elif kind == "L" or kind == "S":
+            if len(toks) != 3:
+                raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
+            addr = _hex_field(toks[1], line_no)
+            size = _int_field(toks[2], line_no, "size")
+            if addr + size > _ADDR_END:
+                _checked(line_no, load, addr, size)  # raises: runs past the address space
+            yield (1 if kind == "L" else 2, addr, size)
+        elif kind == "B":
+            if len(toks) != 2 or toks[1] not in ("T", "N"):
+                raise TraceSyntaxError(line_no, "B takes T or N")
+            yield _TAKEN if toks[1] == "T" else _NOT_TAKEN
+        elif kind == "Y":
+            if len(toks) != 1:
+                raise TraceSyntaxError(line_no, "Y takes no arguments")
+            yield _SYSCALL
+        elif kind == "R":
+            if len(toks) != 2:
+                raise TraceSyntaxError(line_no, "R takes a region name")
+            yield _checked(line_no, region, toks[1])
+        else:
+            raise TraceSyntaxError(line_no, f"unknown record kind {kind!r}")
 
 
 def _hex_field(tok, line_no):
@@ -150,99 +199,128 @@ def _int_field(tok, line_no, what):
 
 
 def write_trace(records):
-    """Render records back to text; parse_trace(write_trace(r)) == r."""
+    """Render records (or rows) back to text; parse_trace(write_trace(r)) == r."""
     out = []
-    for r in records:
-        k = r.kind
-        if k == "I":
-            out.append(f"I {r.addr:x}" if r.ops == 1 else f"I {r.addr:x} {r.ops}")
-        elif k == "L" or k == "S":
-            out.append(f"{k} {r.addr:x} {r.size}")
-        elif k == "B":
-            out.append(f"B {'T' if r.taken else 'N'}")
-        elif k == "Y":
+    for code, addr, arg in records:
+        if code == 0:
+            out.append(f"I {addr:x}" if arg == 1 else f"I {addr:x} {arg}")
+        elif code == 1 or code == 2:
+            out.append(f"{_KINDS[code]} {addr:x} {arg}")
+        elif code == 3:
+            out.append(f"B {'T' if arg else 'N'}")
+        elif code == 4:
             out.append("Y")
-        elif k == "R":
-            region(r.name)  # re-validate: names must stay single tokens
-            out.append(f"R {r.name}")
+        elif code == 5:
+            region(arg)  # re-validate: names must stay single tokens
+            out.append(f"R {arg}")
         else:
-            raise ValueError(f"unknown record kind {k!r}")
+            raise ValueError(f"unknown record kind code {code!r}")
     return "\n".join(out) + ("\n" if out else "")
 
 
-_KIND_CODES = {"I": 0, "L": 1, "S": 2, "B": 3, "Y": 4, "R": 5}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _REC = struct.Struct("<BQH")
+_CHUNK = _REC.size * 8192  # bytes per .ctb read, about 88 KiB
 
 
 def write_trace_binary(records):
+    """Render records (or rows) as .ctb bytes."""
     chunks = []
-    for r in records:
-        k = r.kind
-        if k == "I":
-            chunks.append(_REC.pack(0, r.addr, r.ops))
-        elif k == "L" or k == "S":
-            chunks.append(_REC.pack(_KIND_CODES[k], r.addr, r.size))
-        elif k == "B":
-            chunks.append(_REC.pack(3, 0, 1 if r.taken else 0))
-        elif k == "Y":
+    for code, addr, arg in records:
+        if code <= 2:
+            chunks.append(_REC.pack(code, addr, arg))
+        elif code == 3:
+            chunks.append(_REC.pack(3, 0, 1 if arg else 0))
+        elif code == 4:
             chunks.append(_REC.pack(4, 0, 0))
-        elif k == "R":
-            name = r.name.encode("utf-8")
+        elif code == 5:
+            name = arg.encode("utf-8")
             chunks.append(_REC.pack(5, 0, len(name)) + name)
         else:
-            raise ValueError(f"unknown record kind {k!r}")
+            raise ValueError(f"unknown record kind code {code!r}")
     return b"".join(chunks)
+
+
+def decode_binary(fh):
+    """Yield rows from a binary file object, read ``_CHUNK`` bytes at a time;
+    errors carry the 1-based record ordinal."""
+    rec = _REC.size
+    n = 0  # records decoded
+    buf = b""  # bytes not yet decoded: a partial record, or a region record and part of its name
+    while True:
+        data = fh.read(_CHUNK)
+        buf += data
+        off = 0
+        while True:  # one iter_unpack per stretch of fixed records
+            first = n
+            whole = off + (len(buf) - off) // rec * rec
+            for code, addr, val in _REC.iter_unpack(memoryview(buf)[off:whole]):
+                n += 1
+                if code == 1 or code == 2:
+                    if val < 1 or addr + val > _ADDR_END:
+                        _checked(n, load, addr, val)  # raises
+                    yield (code, addr, val)
+                elif code == 0:
+                    if val < 1:
+                        _checked(n, inst, addr, val)  # raises
+                    yield (0, addr, val)
+                elif code == 3:
+                    yield _TAKEN if val == 1 else _NOT_TAKEN
+                elif code == 4:
+                    yield _SYSCALL
+                elif code == 5:
+                    break
+                else:
+                    raise TraceSyntaxError(n, f"unknown kind code {code}")
+            else:
+                off = whole
+                break
+            # A region record: its name's val bytes follow the fixed part.
+            at = off + (n - first) * rec
+            if at + val > len(buf):
+                if not data:
+                    raise TraceSyntaxError(n, "truncated region name")
+                n -= 1
+                off = at - rec  # decode the record again once more bytes are read
+                break
+            yield _checked(n, lambda name: region(name.decode("utf-8")), buf[at:at + val])
+            off = at + val
+        buf = buf[off:]
+        if not data:
+            if buf:
+                raise TraceSyntaxError(n + 1, "truncated record")
+            return
+
+
+_as_record = partial(tuple.__new__, TraceRecord)
+
+
+def parse_trace(lines):
+    """Yield TraceRecords from an iterable of text lines.
+
+    Raises TraceSyntaxError carrying the 1-based line number on any
+    malformed record.
+    """
+    return map(_as_record, decode_text(lines))
 
 
 def parse_trace_binary(data):
     """Yield TraceRecords from .ctb bytes; errors carry the record ordinal."""
-    off = 0
-    n = 0
-    size = len(data)
-    while off < size:
-        n += 1
-        if off + _REC.size > size:
-            raise TraceSyntaxError(n, "truncated record")
-        code, addr, val = _REC.unpack_from(data, off)
-        off += _REC.size
-        kind = _CODE_KINDS.get(code)
-        if kind is None:
-            raise TraceSyntaxError(n, f"unknown kind code {code}")
-        try:
-            if kind == "I":
-                yield inst(addr, val)
-            elif kind == "L":
-                yield load(addr, val)
-            elif kind == "S":
-                yield store(addr, val)
-            elif kind == "B":
-                yield branch(val == 1)
-            elif kind == "Y":
-                yield syscall()
-            else:
-                if off + val > size:
-                    raise TraceSyntaxError(n, "truncated region name")
-                yield region(data[off : off + val].decode("utf-8"))
-                off += val
-        except ValueError as exc:
-            if isinstance(exc, TraceSyntaxError):
-                raise
-            raise TraceSyntaxError(n, str(exc)) from None
+    return map(_as_record, decode_binary(io.BytesIO(data)))
+
+
+def read_rows(path):
+    """Yield the rows of a .ct or .ctb trace file, holding it open until
+    the last row (or an error) is reached."""
+    with open(path, "rb") as fh:
+        if str(path).endswith(".ctb"):
+            yield from decode_binary(fh)
+        else:
+            yield from decode_text(_utf8_lines(fh))
 
 
 def read_trace_path(path):
     """Open a .ct or .ctb trace file as a record iterator."""
-    if str(path).endswith(".ctb"):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return parse_trace_binary(data)
-
-    def _lines():
-        with open(path, "rb") as fh:
-            yield from parse_trace(_utf8_lines(fh))
-
-    return _lines()
+    return map(_as_record, read_rows(path))
 
 
 def _utf8_lines(raw_lines):

@@ -5,7 +5,21 @@ package (dict-of-tags sets, explicit recency lists, per-way victim search,
 exhaustive search) so agreement is meaningful.
 """
 
-from cachesim import Cache, CacheSpec, ReplacementPolicy
+import struct
+
+from cachesim import (
+    Cache,
+    CacheSpec,
+    ReplacementPolicy,
+    TraceSyntaxError,
+    branch,
+    inst,
+    load,
+    region,
+    store,
+    syscall,
+)
+from cachesim.trace import MAX_ADDR
 
 
 class RefCache:
@@ -172,3 +186,135 @@ def _brute_one_set(stream, capacity):
         return result
 
     return rec(0, frozenset())
+
+
+# Trace decoders that build one TraceRecord per record through the public
+# constructors (inst, load, ..., region), which hold the validation rules:
+# oracles for the row decoders of cachesim.trace, which check inline.
+
+_KIND_CODES = {"I": 0, "L": 1, "S": 2, "B": 3, "Y": 4, "R": 5}
+_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_REC = struct.Struct("<BQH")
+
+
+def parse_trace(lines):
+    """Yield TraceRecords from an iterable of text lines.
+
+    Raises TraceSyntaxError carrying the 1-based line number on any
+    malformed record.
+    """
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        toks = line.split()
+        kind = toks[0]
+        try:
+            if kind == "I":
+                if len(toks) not in (2, 3):
+                    raise TraceSyntaxError(line_no, "I takes an address and optional op count")
+                ops = _int_field(toks[2], line_no, "op count") if len(toks) == 3 else 1
+                yield inst(_hex_field(toks[1], line_no), ops)
+            elif kind == "L" or kind == "S":
+                if len(toks) != 3:
+                    raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
+                addr = _hex_field(toks[1], line_no)
+                size = _int_field(toks[2], line_no, "size")
+                yield load(addr, size) if kind == "L" else store(addr, size)
+            elif kind == "B":
+                if len(toks) != 2 or toks[1] not in ("T", "N"):
+                    raise TraceSyntaxError(line_no, "B takes T or N")
+                yield branch(toks[1] == "T")
+            elif kind == "Y":
+                if len(toks) != 1:
+                    raise TraceSyntaxError(line_no, "Y takes no arguments")
+                yield syscall()
+            elif kind == "R":
+                if len(toks) != 2:
+                    raise TraceSyntaxError(line_no, "R takes a region name")
+                yield region(toks[1])
+            else:
+                raise TraceSyntaxError(line_no, f"unknown record kind {kind!r}")
+        except ValueError as exc:
+            if isinstance(exc, TraceSyntaxError):
+                raise
+            raise TraceSyntaxError(line_no, str(exc)) from None
+
+
+def _hex_field(tok, line_no):
+    try:
+        addr = int(tok, 16)
+    except ValueError:
+        raise TraceSyntaxError(line_no, f"bad hex address {tok!r}") from None
+    if not 0 <= addr <= MAX_ADDR:
+        raise TraceSyntaxError(line_no, f"address out of range {tok!r}")
+    return addr
+
+
+def _int_field(tok, line_no, what):
+    try:
+        v = int(tok)
+    except ValueError:
+        raise TraceSyntaxError(line_no, f"bad {what} {tok!r}") from None
+    if v < 1:
+        raise TraceSyntaxError(line_no, f"bad {what} {tok!r}: must be >= 1")
+    return v
+
+
+def parse_trace_binary(data):
+    """Yield TraceRecords from .ctb bytes; errors carry the record ordinal."""
+    off = 0
+    n = 0
+    size = len(data)
+    while off < size:
+        n += 1
+        if off + _REC.size > size:
+            raise TraceSyntaxError(n, "truncated record")
+        code, addr, val = _REC.unpack_from(data, off)
+        off += _REC.size
+        kind = _CODE_KINDS.get(code)
+        if kind is None:
+            raise TraceSyntaxError(n, f"unknown kind code {code}")
+        try:
+            if kind == "I":
+                yield inst(addr, val)
+            elif kind == "L":
+                yield load(addr, val)
+            elif kind == "S":
+                yield store(addr, val)
+            elif kind == "B":
+                yield branch(val == 1)
+            elif kind == "Y":
+                yield syscall()
+            else:
+                if off + val > size:
+                    raise TraceSyntaxError(n, "truncated region name")
+                yield region(data[off : off + val].decode("utf-8"))
+                off += val
+        except ValueError as exc:
+            if isinstance(exc, TraceSyntaxError):
+                raise
+            raise TraceSyntaxError(n, str(exc)) from None
+
+
+def read_trace_path(path):
+    """Open a .ct or .ctb trace file as a record iterator."""
+    if str(path).endswith(".ctb"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return parse_trace_binary(data)
+
+    def _lines():
+        with open(path, "rb") as fh:
+            yield from parse_trace(_utf8_lines(fh))
+
+    return _lines()
+
+
+def _utf8_lines(raw_lines):
+    """Decode byte lines one at a time, so a bad byte is named by its line."""
+    for line_no, raw in enumerate(raw_lines, 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceSyntaxError(line_no, f"not valid UTF-8: {exc.reason}") from None

@@ -208,6 +208,8 @@ def test_vexsim_bad_cfg_exits_2(capsys, tmp_path, trace_file):
      "{p} line 6: value for 'MissPenalty' must be an integer, got 'many'"),
     ("lg2CacheSize    16", "lg2CacheSize    40",
      "{p}: cache 'dcache' has 8589934592 sets x 4 ways, over the limit of 1048576 lines"),
+    ("lg2CacheSize    16", "lg2CacheSize    5",
+     "{p} line 3: lg2CacheSize: cache of 32 bytes cannot hold 4 ways of 32-byte lines"),
 ])
 def test_vexsim_cfg_errors_name_the_file(capsys, tmp_path, trace_file, old, new, message):
     p = tmp_path / "vex.cfg"
@@ -229,6 +231,7 @@ def test_vexsim_bad_clock_exits_1(capsys, cfg_file, trace_file):
     ("--clock", "nan"),
     ("--clock", "inf"),
     ("-cache:il1", "dl1:128:32:1:l"),  # a second cache named dl1
+    ("-cache:il1", "dl1", "-cache:il2", "il2:512:64:2:l"),  # an il2 fetches never reach
 ])
 def test_sim_bad_command_line_exits_1(capsys, trace_file, argv):
     assert run_cli(capsys, "sim", *argv, trace_file)[0] == 1

@@ -183,10 +183,15 @@ def test_unknown_flag_and_missing_value():
 def test_l2_requires_l1():
     with pytest.raises(ConfigError):
         parse_hierarchy_args(["-cache:dl1", "none"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^il2 is configured but il1 is none$"):
         parse_hierarchy_args(
             ["-cache:il1", "none", "-cache:il2", "i2:512:64:2:l"]
         )
+    # A unified il1 sends fetches down the data chain, so il2 is never reached.
+    for target in ("dl1", "dl2"):
+        with pytest.raises(ConfigError, match=f"^il2 is configured but il1 is unified with "
+                                              f"{target}, so fetches never reach il2$"):
+            parse_hierarchy_args(["-cache:il1", target, "-cache:il2", "i2:512:64:2:l"])
 
 
 def test_unification_to_disabled_level_degrades():
@@ -255,7 +260,7 @@ def test_vex_non_numeric_value():
 
 def test_vex_geometry_underflow():
     broken = VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    5")
-    with pytest.raises(GeometryUnderflow):
+    with pytest.raises(GeometryUnderflow, match="^line 3: lg2CacheSize: "):
         parse_vex_cfg(broken)
 
 

@@ -1,4 +1,6 @@
+import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +15,9 @@ from cachesim import (
     region,
     store,
     syscall,
+    write_trace_binary,
 )
+from cachesim.trace import decode_binary
 
 
 def build(args=(), seed=1):
@@ -311,6 +315,35 @@ def test_regions_match_step_outcomes_summed_per_region():
             for cname, stats in r.caches.items():
                 got = {k: getattr(stats, k) for k in counters}
                 assert got == w["caches"][cname], (args, name, cname)
+
+
+@pytest.mark.parametrize("args", [
+    ["-flush", "true"],
+    ["-cache:dl1", "ul1:8:16:2:l", "-cache:il1", "dl1", "-cache:dl2", "ul2:32:32:2:l",
+     "-flush", "true"],
+    ["-cache:dl1", "ul1:16:32:2:r", "-cache:il1", "dl1", "-cache:dl2", "none",
+     "-cache:il2", "none", "-flush", "true"],
+])
+def test_run_over_rows_records_and_steps_agree(args):
+    # Regions are entered, re-entered and left for TOTAL, with syscalls
+    # flushing every cache.
+    rng = random.Random(808)
+    for trial in range(3):
+        trace = _random_trace(rng, 1500, with_flush=True, with_regions=True, addr_bits=12)
+        for i in sorted(rng.sample(range(len(trace)), 6), reverse=True):
+            trace.insert(i, region("TOTAL"))
+        rows = list(decode_binary(io.BytesIO(write_trace_binary(trace))))
+        assert rows == trace and all(type(r) is tuple for r in rows if r[0] <= 2)  # I, L, S
+
+        by_rows, by_records, by_steps = (build(args, seed=trial) for _ in range(3))
+        reports = [by_rows.run(rows, collect_events=True, clock=lambda: 0.0),
+                   by_records.run(trace, collect_events=True, clock=lambda: 0.0)]
+        by_steps.events = []
+        logged = Counter(name for rec in trace for name, _ in by_steps.step(rec))
+        reports.append(by_steps.run([], clock=lambda: 0.0))
+        assert reports[0] == reports[1] == reports[2], (args, trial)
+        assert by_rows.events == by_records.events == by_steps.events, (args, trial)
+        assert logged == {n: c.accesses for n, c in reports[2].caches.items() if c.accesses}
 
 
 def test_unified_l1_sees_both_streams():

@@ -1,7 +1,14 @@
+import copy
+import io
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from cachesim import trace
 from cachesim import (
     TraceRecord,
     TraceSyntaxError,
@@ -21,6 +28,7 @@ from cachesim import (
     write_trace_binary,
     write_trace_path,
 )
+from cachesim.trace import MAX_ADDR, decode_binary, decode_text, read_rows
 
 
 def test_parse_grammar_basics():
@@ -69,6 +77,8 @@ def test_parse_errors_carry_line_numbers():
         list(parse_trace(["Q 10"]))
     with pytest.raises(TraceSyntaxError):
         list(parse_trace(["L 1ffffffffffffffff 4"]))  # past 2^64-1
+    with pytest.raises(TraceSyntaxError, match="bad op count '0'"):
+        list(parse_trace(["I zz 0"]))  # the op count is checked before the address
 
 
 def test_access_past_address_space_rejected():
@@ -85,6 +95,12 @@ def test_access_past_address_space_rejected():
     with pytest.raises(TraceSyntaxError) as exc:
         list(parse_trace_binary(data))
     assert exc.value.line_no == 2
+    # One byte past the top, after an access that ends exactly at it.
+    with pytest.raises(TraceSyntaxError, match="line 2: 2-byte access at 0xffffffffffffffff"):
+        list(parse_trace(["S fffffffffffffffe 2", "S ffffffffffffffff 2"]))
+    data = write_trace_binary([store(top - 1, 2), TraceRecord("S", addr=top, size=2)])
+    with pytest.raises(TraceSyntaxError, match="line 2: 2-byte access at 0xffffffffffffffff"):
+        list(parse_trace_binary(data))
 
 
 def test_non_utf8_text_trace_names_its_line(tmp_path):
@@ -186,3 +202,144 @@ def test_gen_random_is_reproducible():
     assert a == b
     assert all(0x1000 <= r.addr < 0x2000 for r in a)
     assert gen_random(13, 0x1000, 4096, 50) != a
+
+
+def test_records_are_their_rows():
+    assert load(0x10, 4) == (1, 0x10, 4) and TraceRecord("L", addr=0x10, size=4) == load(0x10, 4)
+    assert [inst(8, 3), store(8, 2), branch(True), syscall(), region("f")] == \
+        [(0, 8, 3), (2, 8, 2), (3, 0, True), (4, 0, 0), (5, 0, "f")]
+    r = region("f")
+    assert (r.kind, r.addr, r.size, r.ops, r.taken, r.name) == ("R", 0, 0, 1, False, "f")
+    r = inst(8, 3)
+    assert (r.kind, r.addr, r.size, r.ops, r.taken, r.name) == ("I", 8, 0, 3, False, "")
+    with pytest.raises(ValueError, match="unknown record kind 'Q'"):
+        TraceRecord("Q")
+    for r in (inst(8, 3), branch(True), region("f")):
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin == r and type(twin) is TraceRecord
+
+
+# Differential tests: the row decoders against the TraceRecord-building
+# decoders they replaced (reference.parse_trace, parse_trace_binary and
+# read_trace_path), on valid traces and on mutated or truncated bytes.
+
+_ADDRS = st.one_of(st.integers(0, 1 << 16), st.integers(0, MAX_ADDR),
+                   st.integers(MAX_ADDR - 130, MAX_ADDR))
+
+
+@st.composite
+def _records(draw, valid=True):
+    """Up to 40 records; with ``valid`` false, op counts and sizes may be 0
+    and accesses may run past the address space."""
+    out = []
+    for kind in draw(st.lists(st.sampled_from("ILSBYR"), max_size=40)):
+        addr = draw(_ADDRS)
+        if kind == "I":
+            out.append(TraceRecord("I", addr=addr, ops=draw(st.integers(1 - (not valid), 0xFFFF))))
+        elif kind in "LS":
+            size = draw(st.integers(1 - (not valid), 130))  # spans blocks
+            out.append(TraceRecord(kind, addr=addr,
+                                   size=min(size, MAX_ADDR - addr + 1) if valid else size))
+        elif kind == "B":
+            out.append(branch(draw(st.booleans())))
+        elif kind == "Y":
+            out.append(syscall())
+        else:
+            out.append(region(draw(st.sampled_from(["main", "fn1", "TOTAL", "caf\u00e9", "r_2"]))))
+    return out
+
+
+# Tokens that break a record: bad numbers, out-of-range values, bad kinds.
+_BAD_TOKENS = ["zz", "0", "-1", "+2", "1ffffffffffffffff", "1_0", "X", "Q", "T"]
+
+
+@st.composite
+def _text_lines(draw, records, bad=False):
+    """``records`` as text lines, spelled every way the grammar allows:
+    spacing, hex case, 0x prefixes and leading zeros, comments, blank
+    lines and \\r\\n endings; with ``bad``, about one token in five
+    replaced from _BAD_TOKENS."""
+    lines = []
+    for r in records:
+        toks = write_trace([r]).split()
+        if r.kind in "ILS" and draw(st.booleans()):
+            toks[1] = draw(st.sampled_from([f"{r.addr:X}", f"0x{r.addr:x}", f"{r.addr:020x}"]))
+        if r.kind == "I" and r.ops == 1 and draw(st.booleans()):
+            toks.append("1")
+        if bad:
+            toks = [draw(st.sampled_from(_BAD_TOKENS)) if draw(st.integers(0, 4)) == 0 else t
+                    for t in toks]
+        line = draw(st.sampled_from([" ", "\t", "  "])).join(toks)
+        line = draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["", " # c", "#c"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["\n", "# only a comment\n", "  \r\n", "#\n"])))
+    return lines
+
+
+# Text pieces that mutations insert: record letters, digits, separators,
+# non-ASCII digits and spaces, and a byte that is not UTF-8.
+_TEXT_PIECES = [c.encode() for c in "ILSBYRTNQ0179afx#-_ \t\r\n\u00a0\u0661\u00e9"] + [b"\xff"]
+
+
+@st.composite
+def _mutated(draw, blob, pieces):
+    """``blob`` after one to three byte flips, deletions, insertions
+    (of ``pieces``, or any bytes when None) or truncations."""
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(blob)))
+        op = draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
+        if op == "truncate":
+            del blob[i:]
+        elif op == "delete":
+            del blob[i:i + draw(st.integers(1, 12))]
+        elif op == "insert":
+            blob[i:i] = b"".join(draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=4))) \
+                if pieces else draw(st.binary(min_size=1, max_size=12))
+        elif i < len(blob):
+            blob[i] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+def _outcome(rows):
+    """The rows an iterator yields, then its TraceSyntaxError (message and
+    line or record number), or None when it ends cleanly."""
+    got = []
+    try:
+        for r in rows:
+            got.append(r)
+    except TraceSyntaxError as exc:
+        return got, (str(exc), exc.line_no)
+    return got, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_records(), data=st.data(), chunk=st.integers(1, 60))
+def test_decoders_match_oracles_on_valid_traces(records, data, chunk):
+    lines = data.draw(_text_lines(records))
+    assert list(decode_text(lines)) == list(reference.parse_trace(lines)) == records
+    blob = write_trace_binary(records)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_CHUNK", chunk)  # records and names straddle the reads
+        assert list(decode_binary(io.BytesIO(blob))) == records
+    assert list(reference.parse_trace_binary(blob)) == records
+    for got in (parse_trace(lines), parse_trace_binary(blob)):
+        assert all(type(r) is TraceRecord for r in got)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=_records(valid=False), data=st.data(), chunk=st.integers(1, 60))
+def test_decoders_match_oracles_on_mutated_files(scratch_dir, records, data, chunk):
+    text = "".join(data.draw(_text_lines(records, bad=True))).encode()
+    for path, blob, pieces in ((scratch_dir / "t.ct", text, _TEXT_PIECES),
+                               (scratch_dir / "t.ctb", write_trace_binary(records), None)):
+        path.write_bytes(data.draw(_mutated(blob, pieces)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trace, "_CHUNK", chunk)
+            assert _outcome(read_rows(path)) == _outcome(reference.read_trace_path(path))
