@@ -6,7 +6,7 @@ LRU stack distances, exact offline optimal (Belady) replacement, and
 VLIW-style stall-cycle accounting with a shared-bus model.
 """
 
-from .cache import AccessOutcome, Cache, CacheStats, FlushResult, decompose
+from .cache import AccessOutcome, Cache, CacheStats
 from .config import (
     CacheSpec,
     ConfigError,
@@ -53,7 +53,6 @@ from .timing import (
     TimingEvent,
     account,
     main_memory_latency,
-    rates,
 )
 from .trace import (
     TraceRecord,

@@ -9,6 +9,10 @@ generator owned by the cache, so runs are reproducible.
 
 Six event counters are maintained: accesses, hits, misses, replacements,
 writebacks, invalidations.  accesses == hits + misses always holds.
+
+After a replacement ``victim_addr`` holds the evicted block's byte address:
+the hierarchy writes a dirty victim back to it, and ``outcome`` derives the
+victim's tag from it.
 """
 
 from dataclasses import dataclass
@@ -65,33 +69,20 @@ class AccessOutcome:
     evicted_dirty: bool = False
 
 
-@dataclass(frozen=True)
-class FlushResult:
-    writebacks_done: int
-    lines_invalidated: int
-
-
-def decompose(addr, spec):
-    """Split a byte address into (set index, tag) for the given geometry."""
-    block = addr // spec.bsize
-    return block % spec.nsets, block // spec.nsets
-
-
 class Cache:
     """Mutable cache state; single-owner, not safe for concurrent mutation."""
 
     __slots__ = (
-        "spec", "name", "nsets", "bsize", "assoc",
+        "name", "nsets", "bsize", "assoc",
         "_bshift", "_smask", "_tshift",
         "_tags", "_dirty", "_order", "_stamp",
-        "_lru", "_rand", "seed", "_rng",
+        "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
-        "victim_tag", "victim_addr",
+        "victim_addr",
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
         spec.validate().check_size()
-        self.spec = spec
         self.name = spec.name
         self.nsets = spec.nsets
         self.bsize = spec.bsize
@@ -106,14 +97,12 @@ class Cache:
         self._stamp = 0
         self._lru = spec.repl is ReplacementPolicy.LRU
         self._rand = spec.repl is ReplacementPolicy.RANDOM
-        self.seed = seed
         self._rng = (seed & _MASK64) or 0x9E3779B97F4A7C15
         self.hits = 0
         self.misses = 0
         self.replacements = 0
         self.writebacks = 0
         self.invalidations = 0
-        self.victim_tag = _INVALID
         self.victim_addr = 0
 
     @property
@@ -128,8 +117,8 @@ class Cache:
         )
 
     def _access(self, addr, write):
-        """Fast path: returns an outcome code; victim_tag/victim_addr are
-        valid after MISS_REPLACE / MISS_REPLACE_DIRTY."""
+        """Fast path: returns an outcome code; victim_addr is valid after
+        MISS_REPLACE / MISS_REPLACE_DIRTY."""
         block = addr >> self._bshift
         si = block & self._smask
         tag = block >> self._tshift
@@ -154,9 +143,7 @@ class Cache:
                 order = self._order[si]
                 way = order.index(min(order))
             self.replacements += 1
-            victim = tags[way]
-            self.victim_tag = victim
-            self.victim_addr = ((victim << self._tshift) | si) << self._bshift
+            self.victim_addr = ((tags[way] << self._tshift) | si) << self._bshift
             if self._dirty[si][way]:
                 self.writebacks += 1
                 code = MISS_REPLACE_DIRTY
@@ -185,10 +172,12 @@ class Cache:
             return AccessOutcome(True)
         if code == MISS_FILL:
             return AccessOutcome(False)
-        return AccessOutcome(False, self.victim_tag, code == MISS_REPLACE_DIRTY)
+        return AccessOutcome(False, self.victim_addr >> (self._bshift + self._tshift),
+                             code == MISS_REPLACE_DIRTY)
 
-    def flush(self) -> FlushResult:
-        """Write back every dirty line, invalidate every valid line."""
+    def flush(self):
+        """Write back every dirty line, invalidate every valid line; the
+        writebacks and invalidations counters grow by the lines affected."""
         wb = 0
         inv = 0
         for si in range(self.nsets):
@@ -203,4 +192,3 @@ class Cache:
                     dirty[way] = False
         self.writebacks += wb
         self.invalidations += inv
-        return FlushResult(wb, inv)

@@ -151,8 +151,14 @@ _WANTED = {_int: "an integer", _ints: "a comma-separated integer list",
            _seconds: "a finite number", _format: "text, csv or json"}
 
 _HIER_FLAGS = tuple(DEFAULT_HIERARCHY_ARGS)
-_GEN_FLAGS = ("--start", "--count", "--stride", "--base", "--ws", "--iters",
-              "--seed", "--range")
+# gen kind -> (generator, {flag: default, or None if required}), the flags
+# in the generator's parameter order.
+_GEN_KINDS = {
+    "sequential": (gen_sequential, {"start": 0, "count": None, "stride": 32}),
+    "loop": (gen_loop, {"base": 0, "ws": None, "iters": None, "stride": 32}),
+    "random": (gen_random, {"seed": 1, "base": 0, "range": None, "count": None}),
+}
+_GEN_FLAGS = tuple(dict.fromkeys(f"--{f}" for _, params in _GEN_KINDS.values() for f in params))
 
 # flag -> (options key, number of values, converter of each value)
 _OPTIONS = {
@@ -320,27 +326,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_gen(args) -> int:
     flags, (kind,) = _parse(args, _GEN_FLAGS + ("--out",), ("<kind>",))
     out = flags.pop("out", None)
-
-    def need(names):
-        missing = [n for n in names if n not in flags]
-        if missing:
-            raise _UsageError(f"gen {kind} needs --" + ", --".join(missing))
-
+    if kind not in _GEN_KINDS:
+        raise _UsageError(f"unknown generator kind {kind!r}")
+    generator, params = _GEN_KINDS[kind]
+    missing = [f for f, default in params.items() if default is None and f not in flags]
+    if missing:
+        raise _UsageError(f"gen {kind} needs --" + ", --".join(missing))
+    foreign = [f for f in flags if f not in params]
+    if foreign:
+        raise _UsageError(f"gen {kind} does not take --" + ", --".join(foreign))
     try:
-        if kind == "sequential":
-            need(["count"])
-            records = gen_sequential(flags.get("start", 0), flags["count"],
-                                     flags.get("stride", 32))
-        elif kind == "loop":
-            need(["ws", "iters"])
-            records = gen_loop(flags.get("base", 0), flags["ws"], flags["iters"],
-                               flags.get("stride", 32))
-        elif kind == "random":
-            need(["range", "count"])
-            records = gen_random(flags.get("seed", 1), flags.get("base", 0),
-                                 flags["range"], flags["count"])
-        else:
-            raise _UsageError(f"unknown generator kind {kind!r}")
+        records = generator(*(flags.get(f, default) for f, default in params.items()))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 

@@ -97,17 +97,6 @@ class ReplacementPolicy(Enum):
     FIFO = "f"
     RANDOM = "r"
 
-    @classmethod
-    def from_char(cls, char):
-        for p in cls:
-            if p.value == char:
-                return p
-        raise UnknownPolicy(char)
-
-    @property
-    def char(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class CacheSpec:
@@ -123,10 +112,6 @@ class CacheSpec:
     bsize: int
     assoc: int
     repl: ReplacementPolicy
-
-    @property
-    def capacity_bytes(self):
-        return self.nsets * self.bsize * self.assoc
 
     def validate(self):
         if not self.name or any(c.isspace() for c in self.name) or ":" in self.name:
@@ -146,7 +131,7 @@ class CacheSpec:
 
     def render(self):
         """Inverse of parse_cache_spec: the canonical colon string."""
-        return f"{self.name}:{self.nsets}:{self.bsize}:{self.assoc}:{self.repl.char}"
+        return f"{self.name}:{self.nsets}:{self.bsize}:{self.assoc}:{self.repl.value}"
 
 
 @dataclass(frozen=True)
@@ -174,7 +159,10 @@ def parse_cache_spec(text):
     for fname, tok in zip(("nsets", "bsize", "assoc"), parts[1:4]):
         if not tok.isdigit() or str(int(tok)) != tok:
             raise NonNumeric(fname, tok)
-    repl = ReplacementPolicy.from_char(parts[4])
+    try:
+        repl = ReplacementPolicy(parts[4])
+    except ValueError:
+        raise UnknownPolicy(parts[4]) from None
     return CacheSpec(parts[0], *map(int, parts[1:4]), repl).validate()
 
 

@@ -86,8 +86,6 @@ class Hierarchy:
 
     def __init__(self, spec: HierarchySpec, seed: int = 1):
         spec.validate()
-        self.spec = spec
-        self.seed = seed
         self.flush_on_syscall = spec.flush_on_syscall
 
         # One Cache per configured level; a unified level aliases the Cache
@@ -215,7 +213,7 @@ class Hierarchy:
                     nxt_routed[1] += self._access_level(
                         nxt, victim_addr, bsize, True, side)
             if block >= last:
-                return last - first + 1
+                return block - first + 1
             block += 1
 
     def _step(self, rec):

@@ -7,15 +7,18 @@
 * ``render_region_profile``: flat per-region profile table sorted by
   attributed cycles.
 
-Rates render with 4 decimals, percentages with 2, both half-up.
+Rates render with 4 decimals, percentages with 2.  Every rendered figure
+rounds half-up at its stated precision, because the reference outputs this
+package reproduces are used as golden anchors in tests; negative zero is
+never rendered.
 """
 
 import csv
 import io
 import json
 from dataclasses import asdict
+from decimal import ROUND_HALF_UP, Decimal
 
-from ._fmt import fixed, pct
 from .config import TimingSpec
 from .hierarchy import TOTAL_REGION, SimReport
 from .sweep import SweepRow
@@ -24,6 +27,20 @@ from .timing import CycleReport
 
 class UnsupportedFormat(ValueError):
     pass
+
+
+def fixed(value, places):
+    """Render a number with a fixed decimal count, rounding half-up."""
+    q = Decimal(1).scaleb(-places)
+    d = Decimal(repr(float(value))).quantize(q, rounding=ROUND_HALF_UP)
+    if d == 0:
+        d = abs(d)
+    return f"{d:.{places}f}"
+
+
+def pct(numer, denom):
+    """Two-decimal percentage string, 0 when the denominator is 0."""
+    return fixed(0.0 if denom == 0 else 100.0 * numer / denom, 2)
 
 
 _COUNTERS = (
@@ -176,25 +193,22 @@ def _csv(rows):
     return buf.getvalue()
 
 
-def _sweep_csv_rows(rows):
-    """Header and sweep rows, led by a policy column when any row has one."""
+def _sweep_rows(rows, rate):
+    """Header and cells of the sweep table, led by a policy column when any
+    row has one; ``rate`` renders each miss rate."""
     policy = any(r.policy is not None for r in rows)
     yield (["policy"] if policy else []) + ["nsets", "bsize", "assoc", "misses", "miss_rate"]
     for r in rows:
         yield (([r.policy or "lru"] if policy else [])
-               + [r.nsets, r.bsize, r.assoc, r.misses, repr(r.miss_rate)])
+               + [r.nsets, r.bsize, r.assoc, r.misses, rate(r.miss_rate)])
 
 
 def render_sweep_table(rows) -> str:
     """The sweep rows, led by a policy column when any row has one."""
-    policy = any(r.policy is not None for r in rows)
-    lines = [(f"{'policy':>6} " if policy else "")
-             + f"{'nsets':>6} {'bsize':>6} {'assoc':>6} {'misses':>10} {'miss_rate':>10}"]
-    for r in rows:
-        lines.append((f"{r.policy or 'lru':>6} " if policy else "")
-                     + f"{r.nsets:>6} {r.bsize:>6} {r.assoc:>6} {r.misses:>10} "
-                     f"{fixed(r.miss_rate, 6):>10}")
-    return "\n".join(lines) + "\n"
+    table = list(_sweep_rows(rows, lambda rate: fixed(rate, 6)))
+    widths = (6,) * (len(table[0]) - 2) + (10, 10)
+    return "".join(" ".join(f"{cell:>{w}}" for cell, w in zip(row, widths)) + "\n"
+                   for row in table)
 
 
 def export(obj, fmt: str) -> str:
@@ -213,7 +227,7 @@ def export(obj, fmt: str) -> str:
         d = {name: asdict(r) for name, r in obj.items()}
     elif isinstance(obj, list) and all(isinstance(r, SweepRow) for r in obj):
         if fmt == "csv":
-            return _csv(_sweep_csv_rows(obj))
+            return _csv(_sweep_rows(obj, repr))
         d = [{k: v for k, v in asdict(r).items() if v is not None} for r in obj]
     else:
         raise TypeError(f"cannot export object of type {type(obj).__name__}")

@@ -17,7 +17,6 @@ exactly misses times the miss penalty when nothing conflicts.
 
 from dataclasses import dataclass
 
-from ._fmt import pct
 from .config import TimingSpec
 
 
@@ -153,15 +152,3 @@ def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
         executed_operations=op_count,
     )
 
-
-def rates(report: CycleReport) -> dict:
-    """Hit/miss rates of both sides as two-decimal percentage strings.
-
-    Sides with zero accesses are omitted.
-    """
-    out = {}
-    for side, rep in (("imem", report.imem), ("dmem", report.dmem)):
-        if rep.accesses > 0:
-            out[f"{side}_hit_rate"] = pct(rep.hits, rep.accesses)
-            out[f"{side}_miss_rate"] = pct(rep.misses, rep.accesses)
-    return out

@@ -87,7 +87,7 @@ def direct_misses(records, nsets, bsize, assoc, policy="l", seed=1):
     This is the array-based simulation route, independent of the stack
     distance algorithm.
     """
-    spec = CacheSpec("c", nsets, bsize, assoc, ReplacementPolicy.from_char(policy))
+    spec = CacheSpec("c", nsets, bsize, assoc, ReplacementPolicy(policy))
     c = Cache(spec, seed)
     for r in records:
         if r.kind in ("L", "S"):

@@ -364,6 +364,20 @@ def test_gen_usage_errors(capsys):
     assert run_cli(capsys, "gen", "sequential")[0] == 1
     assert run_cli(capsys, "gen", "sequential", "--count", "4", "--stride", "0")[0] == 1
     assert run_cli(capsys, "gen", "sequential", "--count", "4", "--bogus", "1")[0] == 1
+    # the messages of a missing flag and an unknown kind
+    assert run_cli(capsys, "gen", "random", "--count", "4")[2].startswith(
+        "error: gen random needs --range\n")
+    assert run_cli(capsys, "gen", "loop")[2].startswith("error: gen loop needs --ws, --iters\n")
+    assert run_cli(capsys, "gen", "spiral")[2].startswith(
+        "error: unknown generator kind 'spiral'\n")
+    # a flag of another kind is rejected, not ignored
+    code, out, err = run_cli(capsys, "gen", "sequential", "--count", "2", "--iters", "5",
+                             "--seed", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: gen sequential does not take --iters, --seed\n")
+    assert run_cli(capsys, "gen", "loop", "--ws", "64", "--iters", "1", "--start", "3")[0] == 1
+    assert run_cli(capsys, "gen", "random", "--range", "64", "--count", "1",
+                   "--stride", "8")[0] == 1
 
 
 # Every cache geometry in this vocabulary has at most 1024 sets, and the

@@ -68,11 +68,6 @@ def test_parse_cache_spec_known_strings(text, name, nsets, bsize, assoc, repl):
     assert spec.render() == text
 
 
-def test_capacity_bytes():
-    assert parse_cache_spec("dl1:256:32:1:l").capacity_bytes == 8192
-    assert parse_cache_spec("ul2:1024:64:4:l").capacity_bytes == 262144
-
-
 def test_round_trip_random_specs():
     rng = random.Random(42)
     pows = [1 << i for i in range(13)]
@@ -121,7 +116,9 @@ def test_non_numeric_rejects_sloppy_integers():
 
 def test_policy_chars_round_trip():
     for p in ReplacementPolicy:
-        assert ReplacementPolicy.from_char(p.char) is p
+        spec = parse_cache_spec(f"c:1:1:1:{p.value}")
+        assert spec.repl is p
+        assert spec.render() == f"c:1:1:1:{p.value}"
 
 
 def test_default_hierarchy_matches_explicit_strings():
@@ -208,9 +205,7 @@ def test_parse_errors_propagate_from_values():
 def test_vex_cfg_geometries():
     dcache, icache, timing = parse_vex_cfg(VEX_CFG)
     assert (dcache.nsets, dcache.bsize, dcache.assoc) == (512, 32, 4)
-    assert dcache.capacity_bytes == 65536 == 2**16
     assert (icache.nsets, icache.bsize, icache.assoc) == (512, 64, 1)
-    assert icache.capacity_bytes == 32768 == 2**15
     # geometry identity holds for both caches
     assert dcache.nsets * dcache.bsize * dcache.assoc == 1 << 16
     assert icache.nsets * icache.bsize * icache.assoc == 1 << 15

@@ -239,6 +239,18 @@ def test_ledger_identities_over_random_traces():
                 assert c.accesses == h.entry_accesses[name] + refills + wbs
 
 
+@pytest.mark.parametrize("row", [(1, 64, 0), (1, 64, -5), (2, 65, 0)])
+def test_ledger_holds_for_rows_of_no_bytes(row):
+    # run takes rows unchecked; a row of size <= 0 still touches its first
+    # block once, and the ledger counts that access.
+    h = build()
+    h.run([row], clock=lambda: 0.0)
+    assert h.caches["dl1"].accesses == 1
+    for name, c in h.caches.items():
+        refills, wbs = h.routed.get(name, (0, 0))
+        assert c.accesses == h.entry_accesses[name] + refills + wbs, name
+
+
 def test_l2_traffic_equals_l1_misses_plus_writebacks_without_flush():
     rng = random.Random(202)
     h = build()

@@ -9,7 +9,6 @@ from cachesim import (
     TimingSpec,
     account,
     main_memory_latency,
-    rates,
 )
 
 VEX_TIMING = TimingSpec(
@@ -173,23 +172,6 @@ def test_main_memory_latency():
         assert main_memory_latency(t, nbytes) == brute(nbytes)
     with pytest.raises(ValueError):
         main_memory_latency(t, 0)
-
-
-def test_rates_formatting():
-    c = account(spread(120, imiss) + spread(40, lambda at: dmiss(20000 + at * 100)),
-                VEX_TIMING, 1488, 1689,
-                imem=(1250, 1130, 120), dmem=(687, 647, 40), branches=(0, 0, 0))
-    r = rates(c)
-    assert r["imem_hit_rate"] == "90.40"
-    assert r["imem_miss_rate"] == "9.60"
-    assert r["dmem_hit_rate"] == "94.18"
-    assert r["dmem_miss_rate"] == "5.82"
-
-
-def test_rates_omitted_for_zero_accesses():
-    c = account([], VEX_TIMING, 10, 10,
-                imem=(0, 0, 0), dmem=(0, 0, 0), branches=(0, 0, 0))
-    assert rates(c) == {}
 
 
 def test_fractional_clock_ratio_rounds_up_whole_cycles():
