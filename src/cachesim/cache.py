@@ -70,7 +70,13 @@ class AccessOutcome:
 
 
 class Cache:
-    """Mutable cache state; single-owner, not safe for concurrent mutation."""
+    """Mutable cache state; single-owner, not safe for concurrent mutation.
+
+    Every ``_access`` records the block number it touched in ``_last``, with
+    that line's dirty row and way in ``_last_dirty`` and ``_last_way``, so
+    the hierarchy can settle a repeat reference to that block as a hit in
+    place and mark the line on a store.  ``flush`` sets ``_last`` to -1.
+    """
 
     __slots__ = (
         "name", "nsets", "bsize", "assoc",
@@ -78,7 +84,7 @@ class Cache:
         "_tags", "_dirty", "_order", "_stamp",
         "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
-        "victim_addr",
+        "victim_addr", "_last", "_last_dirty", "_last_way",
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
@@ -104,6 +110,9 @@ class Cache:
         self.writebacks = 0
         self.invalidations = 0
         self.victim_addr = 0
+        self._last = -1  # block number of the latest access; -1 after a flush
+        self._last_dirty = None
+        self._last_way = 0
 
     @property
     def accesses(self):
@@ -123,11 +132,14 @@ class Cache:
         si = block & self._smask
         tag = block >> self._tshift
         tags = self._tags[si]
+        dirty = self._dirty[si]
+        self._last = block
+        self._last_dirty = dirty
         if tag in tags:
             self.hits += 1
-            way = tags.index(tag)
+            self._last_way = way = tags.index(tag)
             if write:
-                self._dirty[si][way] = True
+                dirty[way] = True
             if self._lru:
                 self._stamp += 1
                 self._order[si][way] = self._stamp
@@ -144,13 +156,14 @@ class Cache:
                 way = order.index(min(order))
             self.replacements += 1
             self.victim_addr = ((tags[way] << self._tshift) | si) << self._bshift
-            if self._dirty[si][way]:
+            if dirty[way]:
                 self.writebacks += 1
                 code = MISS_REPLACE_DIRTY
             else:
                 code = MISS_REPLACE
         tags[way] = tag
-        self._dirty[si][way] = write
+        dirty[way] = write
+        self._last_way = way
         self._stamp += 1
         self._order[si][way] = self._stamp
         return code
@@ -192,3 +205,4 @@ class Cache:
                     dirty[way] = False
         self.writebacks += wb
         self.invalidations += inv
+        self._last = -1

@@ -27,6 +27,21 @@ Per-level "routed" counters record exactly how many accesses were
 forwarded into each lower cache (refills and writebacks separately), so
 `l2.accesses == routed refills + routed writebacks` is checkable.
 
+The walk settles the commonest reference in place.  Most references touch
+the block their cache touched just before, so at the walk's entry (each
+TLB and the first cache of each path) a single-block reference whose
+block equals that cache's ``_last`` counts as a hit with no call: one more
+hit and entry access, one more boundary access and hit when that cache is
+the memory boundary, and a store marks the line dirty.  This is exact.
+Only an access to the cache, or a flush, changes what it holds; every
+access sets ``_last``, a flush clears it, and the hierarchy never
+back-invalidates, so the block is still resident.  A unified level is one
+Cache object with one ``_last``.  Under LRU the last-touched line holds
+the cache's largest stamp, so touching it again leaves every set's order
+unchanged; FIFO and random change nothing on a hit.  Spans over more than
+one block, rows of size 0 or less, misses, L2 accesses and all of
+``step()`` take the general path.
+
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
 event collection is on, one TimingEvent per boundary miss, dirty
@@ -216,57 +231,83 @@ class Hierarchy:
                 return block - first + 1
             block += 1
 
-    def _step(self, rec):
-        code, addr, arg = rec  # a trace row; see the trace module
-        if code == 0:  # I: arg is the op count
-            self._now = self.sim_num_insn
-            self.sim_num_insn += 1
-            self.ops_executed += arg
-            tlb, entry, size, write, side = self.itlb, self._i_entry, 1, False, "I"
-        elif code == 1 or code == 2:  # L, S: arg is the size
-            self._now = self.sim_num_insn
-            self.sim_num_refs += 1
-            tlb, entry, size, write, side = self.dtlb, self._d_entry, arg, code == 2, "D"
-        elif code == 3:  # B: arg is the taken flag
-            b = self.branches
-            b.executed += 1
-            if arg:
-                b.taken += 1
-                if self.events is not None:
-                    self.events.append(TimingEvent("branch", self._now, 0))
+    def _walk(self, records):
+        """The one loop behind run and step: fold trace rows into the
+        counters, settling a repeat of an entry cache's last block in place
+        (see the module docstring) except while step() logs."""
+        itlb, dtlb = self.itlb, self.dtlb
+        i_entry, d_entry = self._i_entry, self._d_entry
+        entry_accesses = self.entry_accesses
+        mem_counts = self.mem_counts
+        access_level = self._access_level
+        log = self._log
+        in_place = log is None
+        for code, addr, arg in records:
+            if code == 0:  # I: arg is the op count
+                self._now = self.sim_num_insn
+                self.sim_num_insn += 1
+                self.ops_executed += arg
+                tlb, entry, size, write, side = itlb, i_entry, 1, False, "I"
+            elif code == 1 or code == 2:  # L, S: arg is the size
+                self._now = self.sim_num_insn
+                self.sim_num_refs += 1
+                tlb, entry, size, write, side = dtlb, d_entry, arg, code == 2, "D"
+            elif code == 3:  # B: arg is the taken flag
+                b = self.branches
+                b.executed += 1
+                if arg:
+                    b.taken += 1
+                    if self.events is not None:
+                        self.events.append(TimingEvent("branch", self._now, 0))
+                else:
+                    b.not_taken += 1
+                continue
+            elif code == 4:  # Y
+                if self.flush_on_syscall:
+                    for c in self.caches.values():
+                        c.flush()
+                continue
+            elif code == 5:  # R: arg is the region name
+                self._credit()
+                self.current_region = arg
+                if arg != TOTAL_REGION:
+                    self._regions.setdefault(arg, [0] * len(self._mark))
+                continue
             else:
-                b.not_taken += 1
-            return
-        elif code == 4:  # Y
-            if self.flush_on_syscall:
-                for c in self.caches.values():
-                    c.flush()
-            return
-        elif code == 5:  # R: arg is the region name
-            self._credit()
-            self.current_region = arg
-            if arg != TOTAL_REGION:
-                self._regions.setdefault(arg, [0] * len(self._mark))
-            return
-        else:
-            raise ValueError(f"unknown trace record kind code {code!r}")
-        # The TLB -> L1 entry both access kinds share (inline: it runs on
-        # most records, so it costs no extra call).
-        if tlb is not None:
-            result = tlb._access(addr, False)
-            self.entry_accesses[tlb.name] += 1
-            if self._log is not None:
-                self._log.append((tlb.name, tlb.outcome(result)))
-        if entry is not None:
-            self.entry_accesses[entry[0].name] += self._access_level(
-                entry, addr, size, write, side)
+                raise ValueError(f"unknown trace record kind code {code!r}")
+            # The TLB -> L1 entry both access kinds share.
+            if tlb is not None:
+                entry_accesses[tlb.name] += 1
+                if in_place and addr >> tlb._bshift == tlb._last:
+                    tlb.hits += 1
+                else:
+                    result = tlb._access(addr, False)
+                    if log is not None:
+                        log.append((tlb.name, tlb.outcome(result)))
+            if entry is not None:
+                c = entry[0]
+                block = addr >> c._bshift
+                if (in_place and block == c._last and size > 0
+                        and (addr + size - 1) >> c._bshift == block):
+                    c.hits += 1
+                    entry_accesses[c.name] += 1
+                    if write:
+                        c._last_dirty[c._last_way] = True
+                    if entry[1] is None:  # memory boundary
+                        mc = mem_counts[side]
+                        mc[0] += 1
+                        mc[1] += 1
+                else:
+                    entry_accesses[c.name] += access_level(entry, addr, size, write, side)
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]
-        for every cache access it caused, in order."""
+        for every cache access it caused, in order.  It always takes the
+        general path, with no in-place hit, so it is the oracle run is
+        tested against."""
         self._log = log = []
         try:
-            self._step(rec)
+            self._walk((rec,))
         finally:
             self._log = None
         return log
@@ -283,9 +324,7 @@ class Hierarchy:
         if collect_events:
             self.events = []
         start = clock()
-        step = self._step
-        for rec in records:
-            step(rec)
+        self._walk(records)
         elapsed = int(clock() - start)
         if elapsed < 1:
             elapsed = 1

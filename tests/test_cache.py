@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from cachesim import Cache, CacheSpec, CacheStats, ReplacementPolicy
 from reference import RefCache
 

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachesim import (
     Hierarchy,
@@ -356,6 +358,115 @@ def test_run_over_rows_records_and_steps_agree(args):
         assert reports[0] == reports[1] == reports[2], (args, trial)
         assert by_rows.events == by_records.events == by_steps.events, (args, trial)
         assert logged == {n: c.accesses for n, c in reports[2].caches.items() if c.accesses}
+
+
+# Small geometries, so that bursts to one block alternate with evictions.
+DENSE_CONFIGS = [
+    ["-cache:il1", "il1:4:16:1:l", "-cache:dl1", "dl1:4:16:2:l", "-cache:dl2", "ul2:8:32:2:l",
+     "-tlb:itlb", "itlb:2:256:1:l", "-tlb:dtlb", "dtlb:2:128:2:l"],
+    ["-cache:il1", "il1:4:16:2:f", "-cache:dl1", "dl1:2:16:2:f", "-cache:dl2", "ul2:8:32:2:f",
+     "-tlb:itlb", "itlb:1:256:2:f", "-tlb:dtlb", "dtlb:2:128:1:f"],
+    ["-cache:il1", "il1:4:16:2:r", "-cache:dl1", "dl1:4:16:2:r", "-cache:dl2", "ul2:8:32:2:r",
+     "-tlb:itlb", "itlb:2:256:2:r", "-tlb:dtlb", "dtlb:1:128:2:r"],
+    ["-cache:dl1", "ul1:4:16:2:l", "-cache:il1", "dl1", "-cache:dl2", "ul2:8:32:2:r",
+     "-tlb:dtlb", "dtlb:2:128:2:l"],
+    ["-cache:il1", "il1:4:16:1:f", "-cache:dl1", "dl1:4:16:1:l", "-cache:dl2", "none",
+     "-cache:il2", "none", "-tlb:itlb", "none", "-tlb:dtlb", "none"],
+    # Fetches enter at ul2, which is also the L2 of the data side.
+    ["-cache:il1", "dl2", "-cache:dl1", "dl1:2:16:1:l", "-cache:dl2", "ul2:4:32:2:l",
+     "-tlb:itlb", "none"],
+]
+
+
+@st.composite
+def _dense_trace(draw):
+    """Rows dense in repeated blocks: fetch bursts at a 4-byte stride, loads
+    then stores to one block, spans over a block edge, zero-size rows, and
+    syscalls, branches and regions between bursts."""
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["fetch", "block", "span", "zero", "syscall",
+                                     "branch", "region"]))
+        base = draw(st.integers(0, 1 << 10))
+        if kind == "fetch":
+            rows += [inst(base + 4 * i) for i in range(draw(st.integers(1, 24)))]
+        elif kind == "block":  # loads, then stores, inside one 16-byte block
+            block = base & ~15
+            for code in (1, 2):
+                for _ in range(draw(st.integers(0, 5))):
+                    off = draw(st.integers(0, 15))
+                    rows.append((code, block + off, draw(st.integers(1, 16 - off))))
+        elif kind == "span":  # ends past the edge of base's 16-byte block
+            edge = (base | 15) + 1
+            addr = edge - draw(st.integers(1, 8))
+            rows.append((draw(st.sampled_from([1, 2])), addr,
+                         edge - addr + draw(st.integers(1, 40))))
+        elif kind == "zero":
+            rows.append((draw(st.sampled_from([1, 2])), base, draw(st.integers(-2, 0))))
+        elif kind == "syscall":
+            rows.append(syscall())
+        elif kind == "branch":
+            rows.append(branch(draw(st.booleans())))
+        else:
+            rows.append(region(draw(st.sampled_from(["r0", "r1", "TOTAL"]))))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_dense_trace(), args=st.sampled_from(DENSE_CONFIGS), flush=st.booleans(),
+       seed=st.integers(0, 3))
+def test_run_settles_repeat_blocks_as_steps_do(rows, args, flush, seed):
+    # run settles a repeat of an entry cache's last block in place; step()
+    # always takes the general path.  Both must count the same.
+    args = args + ["-flush", "true"] if flush else args
+    by_run, by_steps = build(args, seed), build(args, seed)
+    rep = by_run.run(rows, collect_events=True, clock=lambda: 0.0)
+    by_steps.events = []
+    for row in rows:
+        by_steps.step(row)
+    assert rep == by_steps.run([], clock=lambda: 0.0)
+    assert by_run.events == by_steps.events
+    assert by_run.mem_counts == by_steps.mem_counts
+    assert by_run.entry_accesses == by_steps.entry_accesses
+    assert by_run.routed == by_steps.routed
+    for name, c in by_run.caches.items():
+        # The lines and their dirty bits match (LRU stamps may not: an
+        # in-place hit leaves the line's largest stamp as it is).
+        twin = by_steps.caches[name]
+        assert (c._tags, c._dirty) == (twin._tags, twin._dirty), name
+        refills, wbs = by_run.routed.get(name, (0, 0))
+        assert c.accesses == by_run.entry_accesses[name] + refills + wbs, name
+
+
+def test_store_settled_in_place_marks_the_line_dirty():
+    # Direct-mapped dl1 of 4 sets x 32 B: b = a + 128 maps to a's set.
+    # S a hits a's block in place; L b must still evict a dirty line.
+    a, b = 0x40, 0x40 + 128
+    h = mini(dl1="dl1:4:32:1:l")
+    h.run([load(a, 4), store(a, 4), load(b, 4)], collect_events=True, clock=lambda: 0.0)
+    dl1 = h.caches["dl1"]
+    assert (dl1.hits, dl1.misses, dl1.writebacks) == (1, 2, 1)
+    assert [e.kind for e in h.events] == ["dmiss", "dmiss", "writeback"]
+    assert h.mem_counts["D"] == [3, 1, 2]
+
+
+def test_store_settled_in_place_marks_the_way_it_hit():
+    # One set of 2 ways: a fills way 0, b way 1, then a hits way 0 and the
+    # store to a, settled in place, must mark way 0, not the way b was in.
+    a, b, c = 0x00, 0x10, 0x20
+    h = mini(dl1="dl1:1:16:2:l")
+    h.run([load(a, 4), load(b, 4), load(a, 4), store(a, 4)], clock=lambda: 0.0)
+    assert h.caches["dl1"]._dirty == [[True, False]]
+    h.run([load(c, 4)], clock=lambda: 0.0)  # evicts b, the LRU line: clean
+    assert h.caches["dl1"].writebacks == 0
+
+
+def test_flush_forgets_the_last_block():
+    # After a flush the repeat of the last block is a miss, not an in-place hit.
+    h = build(["-flush", "true"])
+    h.run([load(0x40, 4), syscall(), load(0x40, 4)], clock=lambda: 0.0)
+    assert h.caches["dl1"].misses == 2
+    assert h.caches["dl1"].hits == 0
 
 
 def test_unified_l1_sees_both_streams():

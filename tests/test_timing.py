@@ -3,7 +3,6 @@ import random
 import pytest
 
 from cachesim import (
-    CycleReport,
     InconsistentCounts,
     TimingEvent,
     TimingSpec,
