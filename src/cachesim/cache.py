@@ -1,11 +1,13 @@
 """Single set-associative cache with write-back, write-allocate semantics.
 
 A block address splits as block = addr // bsize, set = block % nsets,
-tag = block // nsets.  Misses fill invalid ways first (lowest way index);
-once a set is full the victim comes from the replacement policy.  LRU and
-FIFO share one stamp array: both stamp a line at fill time, only LRU
-refreshes the stamp on a hit.  RANDOM draws from a seeded xorshift64*
-generator owned by the cache, so runs are reproducible.
+tag = block // nsets.  Each set is one list of the tags it holds, at most
+assoc of them.  A miss appends while the set has room; once it is full the
+victim comes from the replacement policy.  LRU and FIFO keep the list
+oldest first, so the victim is its head: a fill appends, and only an LRU
+hit moves its tag to the end.  RANDOM keeps list index = way and replaces a
+way drawn from a seeded xorshift64* generator owned by the cache, so runs
+are reproducible.  Dirty lines are one set of block numbers per cache.
 
 Six event counters are maintained: accesses, hits, misses, replacements,
 writebacks, invalidations.  accesses == hits + misses always holds.
@@ -21,12 +23,11 @@ from .config import CacheSpec, ReplacementPolicy
 
 # Outcome codes of the fast access path.
 HIT = 0
-MISS_FILL = 1          # filled an invalid way
+MISS_FILL = 1          # filled a set with room
 MISS_REPLACE = 2       # evicted a clean line
 MISS_REPLACE_DIRTY = 3  # evicted a dirty line (one writeback)
 
 _MASK64 = (1 << 64) - 1
-_INVALID = -1
 
 
 @dataclass
@@ -72,19 +73,20 @@ class AccessOutcome:
 class Cache:
     """Mutable cache state; single-owner, not safe for concurrent mutation.
 
-    Every ``_access`` records the block number it touched in ``_last``, with
-    that line's dirty row and way in ``_last_dirty`` and ``_last_way``, so
-    the hierarchy can settle a repeat reference to that block as a hit in
-    place and mark the line on a store.  ``flush`` sets ``_last`` to -1.
+    ``_tags[si]`` lists the tags set si holds and ``_dirty`` is the set of
+    resident dirty block numbers.  Every ``_access`` records the block
+    number it touched in ``_last``, so the hierarchy can settle a repeat
+    reference to that block as a hit in place, adding the block to
+    ``_dirty`` on a store.  ``flush`` sets ``_last`` to None, which no
+    block number equals.
     """
 
     __slots__ = (
         "name", "nsets", "bsize", "assoc",
         "_bshift", "_smask", "_tshift",
-        "_tags", "_dirty", "_order", "_stamp",
-        "_lru", "_rand", "_rng",
+        "_tags", "_dirty", "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
-        "victim_addr", "_last", "_last_dirty", "_last_way",
+        "victim_addr", "_last",
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
@@ -97,10 +99,8 @@ class Cache:
         self._bshift = spec.bsize.bit_length() - 1
         self._smask = spec.nsets - 1
         self._tshift = spec.nsets.bit_length() - 1
-        self._tags = [[_INVALID] * spec.assoc for _ in range(spec.nsets)]
-        self._dirty = [[False] * spec.assoc for _ in range(spec.nsets)]
-        self._order = [[0] * spec.assoc for _ in range(spec.nsets)]
-        self._stamp = 0
+        self._tags = [[] for _ in range(spec.nsets)]
+        self._dirty = set()
         self._lru = spec.repl is ReplacementPolicy.LRU
         self._rand = spec.repl is ReplacementPolicy.RANDOM
         self._rng = (seed & _MASK64) or 0x9E3779B97F4A7C15
@@ -110,9 +110,7 @@ class Cache:
         self.writebacks = 0
         self.invalidations = 0
         self.victim_addr = 0
-        self._last = -1  # block number of the latest access; -1 after a flush
-        self._last_dirty = None
-        self._last_way = 0
+        self._last = None  # block number of the latest access; None after a flush
 
     @property
     def accesses(self):
@@ -129,44 +127,37 @@ class Cache:
         """Fast path: returns an outcome code; victim_addr is valid after
         MISS_REPLACE / MISS_REPLACE_DIRTY."""
         block = addr >> self._bshift
+        self._last = block
         si = block & self._smask
         tag = block >> self._tshift
         tags = self._tags[si]
-        dirty = self._dirty[si]
-        self._last = block
-        self._last_dirty = dirty
+        if write:
+            self._dirty.add(block)
         if tag in tags:
             self.hits += 1
-            self._last_way = way = tags.index(tag)
-            if write:
-                dirty[way] = True
-            if self._lru:
-                self._stamp += 1
-                self._order[si][way] = self._stamp
+            if self._lru and tags[-1] != tag:
+                tags.remove(tag)
+                tags.append(tag)
             return HIT
         self.misses += 1
-        if _INVALID in tags:
-            way = tags.index(_INVALID)
-            code = MISS_FILL
+        if len(tags) < self.assoc:
+            tags.append(tag)
+            return MISS_FILL
+        self.replacements += 1
+        if self._rand:
+            way = self._draw() % self.assoc
+            victim = tags[way]
+            tags[way] = tag
         else:
-            if self._rand:
-                way = self._draw() % self.assoc
-            else:
-                order = self._order[si]
-                way = order.index(min(order))
-            self.replacements += 1
-            self.victim_addr = ((tags[way] << self._tshift) | si) << self._bshift
-            if dirty[way]:
-                self.writebacks += 1
-                code = MISS_REPLACE_DIRTY
-            else:
-                code = MISS_REPLACE
-        tags[way] = tag
-        dirty[way] = write
-        self._last_way = way
-        self._stamp += 1
-        self._order[si][way] = self._stamp
-        return code
+            victim = tags.pop(0)
+            tags.append(tag)
+        victim = (victim << self._tshift) | si
+        self.victim_addr = victim << self._bshift
+        if victim in self._dirty:
+            self._dirty.remove(victim)
+            self.writebacks += 1
+            return MISS_REPLACE_DIRTY
+        return MISS_REPLACE
 
     def _draw(self):
         x = self._rng
@@ -191,18 +182,9 @@ class Cache:
     def flush(self):
         """Write back every dirty line, invalidate every valid line; the
         writebacks and invalidations counters grow by the lines affected."""
-        wb = 0
-        inv = 0
-        for si in range(self.nsets):
-            tags = self._tags[si]
-            dirty = self._dirty[si]
-            for way in range(self.assoc):
-                if tags[way] != _INVALID:
-                    inv += 1
-                    if dirty[way]:
-                        wb += 1
-                    tags[way] = _INVALID
-                    dirty[way] = False
-        self.writebacks += wb
-        self.invalidations += inv
-        self._last = -1
+        self.invalidations += sum(map(len, self._tags))
+        self.writebacks += len(self._dirty)
+        for tags in self._tags:
+            tags.clear()
+        self._dirty.clear()
+        self._last = None

@@ -32,15 +32,16 @@ the block their cache touched just before, so at the walk's entry (each
 TLB and the first cache of each path) a single-block reference whose
 block equals that cache's ``_last`` counts as a hit with no call: one more
 hit and entry access, one more boundary access and hit when that cache is
-the memory boundary, and a store marks the line dirty.  This is exact.
+the memory boundary, and a store adds the block to the cache's
+``_dirty``.  This is exact.
 Only an access to the cache, or a flush, changes what it holds; every
 access sets ``_last``, a flush clears it, and the hierarchy never
 back-invalidates, so the block is still resident.  A unified level is one
-Cache object with one ``_last``.  Under LRU the last-touched line holds
-the cache's largest stamp, so touching it again leaves every set's order
-unchanged; FIFO and random change nothing on a hit.  Spans over more than
-one block, rows of size 0 or less, misses, L2 accesses and all of
-``step()`` take the general path.
+Cache object with one ``_last``.  Under LRU the last-touched tag is the
+newest entry of its set's list, so touching it again leaves every set's
+order unchanged; FIFO and random change nothing on a hit.  Spans over
+more than one block, rows of size 0 or less, misses, L2 accesses and all
+of ``step()`` take the general path.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
@@ -292,7 +293,7 @@ class Hierarchy:
                     c.hits += 1
                     entry_accesses[c.name] += 1
                     if write:
-                        c._last_dirty[c._last_way] = True
+                        c._dirty.add(block)
                     if entry[1] is None:  # memory boundary
                         mc = mem_counts[side]
                         mc[0] += 1

@@ -1,8 +1,11 @@
 """Independent reference models used as oracles by the test suite.
 
-These are deliberately written with different data structures than the
-package (dict-of-tags sets, explicit recency lists, per-way victim search,
-exhaustive search) so agreement is meaningful.
+These are deliberately written apart from the package so agreement is
+meaningful.  ``RefCache`` keeps an oldest-first list per set, as the package
+does, but keeps the dirty bits in a dict per set (the package keeps one set
+of dirty blocks per cache) and has no last-touched block, so it never
+settles a reference in place.  The other oracles search for victims way by
+way or exhaustively, and the trace parsers here are written on their own.
 """
 
 import struct

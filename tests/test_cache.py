@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cachesim import Cache, CacheSpec, CacheStats, ReplacementPolicy
 from reference import RefCache
 
@@ -96,7 +98,7 @@ def test_random_victims_stay_in_set():
         c.access(addr)
     # every set holds exactly assoc distinct valid tags
     for si in range(c.nsets):
-        tags = [t for t in c._tags[si] if t != -1]
+        tags = c._tags[si]
         assert len(tags) == len(set(tags)) == c.assoc
 
 
@@ -132,8 +134,9 @@ def test_lru_miss_count_non_increasing_in_assoc():
         assert misses == sorted(misses, reverse=True)
 
 
-def test_invalid_ways_fill_lowest_first():
-    c = make_cache(1, 32, 4)
+@pytest.mark.parametrize("policy", ["l", "f", "r"])
+def test_invalid_ways_fill_lowest_first(policy):
+    c = make_cache(1, 32, 4, policy)
     for i in range(4):
         c.access(i * 32)
     assert c._tags[0] == [0, 1, 2, 3]
@@ -178,5 +181,14 @@ def test_valid_tags_distinct_within_sets():
     for _ in range(5000):
         c.access(rng.randrange(1 << 12), rng.random() < 0.5)
     for si in range(c.nsets):
-        valid = [t for t in c._tags[si] if t != -1]
-        assert len(valid) == len(set(valid))
+        tags = c._tags[si]
+        assert len(tags) == len(set(tags)) <= c.assoc
+
+
+def test_negative_address_misses_on_a_cold_cache():
+    # A negative block has a negative tag; no tag value may stand for an
+    # invalid way.
+    c = make_cache(256, 32, 1)
+    assert not c.access(-64).hit
+    assert c.access(-64).hit
+    assert (c.hits, c.misses) == (1, 1)

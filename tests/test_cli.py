@@ -315,17 +315,27 @@ def _mixed_trace(n=4000):
     return records + [syscall(), region("TOTAL"), inst(0x400000), load(0x10000000, 4)]
 
 
+# Random and FIFO caches and TLBs, flushed at the syscall; the other two
+# cases run LRU only.
+_POLICY_ARGS = ["-cache:dl1", "dl1:64:32:4:r", "-cache:il1", "il1:64:32:2:f",
+                "-cache:dl2", "ul2:256:64:8:r", "-tlb:itlb", "itlb:4:4096:2:f",
+                "-tlb:dtlb", "dtlb:4:4096:2:r", "-flush", "true", "-mem:lat", "18", "2"]
+
+
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
-@pytest.mark.parametrize("cmd, trace_name", [("sim", "t.ct"), ("vexsim", "t.ctb")])
+@pytest.mark.parametrize("cmd, trace_name", [("sim", "t.ct"), ("vexsim", "t.ctb"),
+                                             ("sim_policies", "t.ct")])
 def test_sim_and_vexsim_match_golden_bytes(tmp_path, cmd, trace_name, fmt, ext):
     trace = tmp_path / trace_name
     write_trace_path(trace, _mixed_trace())
     cfg = tmp_path / "vex.cfg"
     cfg.write_text(VEX_CFG)
-    argv = ["sim", "-mem:lat", "18", "2"] if cmd == "sim" else ["vexsim", str(cfg)]
+    argv, golden = {"sim": (["sim", "-mem:lat", "18", "2"], "sim_mixed"),
+                    "vexsim": (["vexsim", str(cfg)], "vexsim_mixed"),
+                    "sim_policies": (["sim", *_POLICY_ARGS], "sim_policies")}[cmd]
     out = tmp_path / f"out.{ext}"
     assert main([*argv, "--clock", "1", "--format", fmt, "--out", str(out), str(trace)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"{cmd}_mixed.{ext}").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{golden}.{ext}").read_bytes()
 
 
 def test_sweep_requires_power_of_two(capsys, trace_file):

@@ -148,7 +148,8 @@ def test_syscall_flush_invalidates_everything():
     h.step(inst(0x400000))
     h.step(syscall())
     for c in h.caches.values():
-        assert all(t == -1 for tags in c._tags for t in tags)
+        assert all(tags == [] for tags in c._tags)
+        assert c._dirty == set()
     assert h.caches["dl1"].invalidations == 1
     assert h.caches["dl1"].writebacks == 1
 
@@ -430,8 +431,7 @@ def test_run_settles_repeat_blocks_as_steps_do(rows, args, flush, seed):
     assert by_run.entry_accesses == by_steps.entry_accesses
     assert by_run.routed == by_steps.routed
     for name, c in by_run.caches.items():
-        # The lines and their dirty bits match (LRU stamps may not: an
-        # in-place hit leaves the line's largest stamp as it is).
+        # The lines, their order and their dirty bits match.
         twin = by_steps.caches[name]
         assert (c._tags, c._dirty) == (twin._tags, twin._dirty), name
         refills, wbs = by_run.routed.get(name, (0, 0))
@@ -452,13 +452,27 @@ def test_store_settled_in_place_marks_the_line_dirty():
 
 def test_store_settled_in_place_marks_the_way_it_hit():
     # One set of 2 ways: a fills way 0, b way 1, then a hits way 0 and the
-    # store to a, settled in place, must mark way 0, not the way b was in.
+    # store to a, settled in place, must mark a's block dirty, not b's.
     a, b, c = 0x00, 0x10, 0x20
     h = mini(dl1="dl1:1:16:2:l")
     h.run([load(a, 4), load(b, 4), load(a, 4), store(a, 4)], clock=lambda: 0.0)
-    assert h.caches["dl1"]._dirty == [[True, False]]
+    assert h.caches["dl1"]._dirty == {a >> 4}
     h.run([load(c, 4)], clock=lambda: 0.0)  # evicts b, the LRU line: clean
     assert h.caches["dl1"].writebacks == 0
+
+
+@pytest.mark.parametrize("by_run", [False, True])
+def test_negative_address_misses_on_cold_caches(by_run):
+    # The tag of a negative address is negative (-1 for -64 at dtlb, dl1 and
+    # ul2); a cold cache holds no tag, so each level misses.
+    h = build()
+    if by_run:
+        h.run([(1, -64, 4)], clock=lambda: 0.0)
+    else:
+        out = h.step((1, -64, 4))
+        assert [(name, o.hit) for name, o in out] == [
+            ("dtlb", False), ("dl1", False), ("ul2", False)]
+    assert [(c.hits, c.misses) for c in (h.dtlb, *h.d_path)] == [(0, 1)] * 3
 
 
 def test_flush_forgets_the_last_block():
