@@ -1,19 +1,20 @@
 """Single set-associative cache with write-back, write-allocate semantics.
 
 A block address splits as block = addr // bsize, set = block % nsets,
-tag = block // nsets.  Each set is one list of the tags it holds, at most
-assoc of them.  A miss appends while the set has room; once it is full the
-victim comes from the replacement policy.  LRU and FIFO keep the list
-oldest first, so the victim is its head: a fill appends, and only an LRU
-hit moves its tag to the end.  RANDOM keeps list index = way and replaces a
-way drawn from a seeded xorshift64* generator owned by the cache, so runs
-are reproducible.  Dirty lines are one set of block numbers per cache.
+tag = block // nsets.  Each set is one list of the block numbers it holds,
+at most assoc of them.  A miss appends while the set has room; once it is
+full the victim comes from the replacement policy.  LRU and FIFO keep the
+list oldest first, so the victim is its head: a fill appends, and only an
+LRU hit moves its block to the end.  RANDOM keeps list index = way and
+replaces a way drawn from a seeded xorshift64* generator owned by the
+cache, so runs are reproducible.  Dirty lines are one set of block numbers
+per cache.
 
 Six event counters are maintained: accesses, hits, misses, replacements,
 writebacks, invalidations.  accesses == hits + misses always holds.
 
-After a replacement ``victim_addr`` holds the evicted block's byte address:
-the hierarchy writes a dirty victim back to it, and ``outcome`` derives the
+After a replacement ``victim`` holds the evicted block number: the
+hierarchy writes a dirty victim back to it, and ``outcome`` derives the
 victim's tag from it.
 """
 
@@ -73,10 +74,10 @@ class AccessOutcome:
 class Cache:
     """Mutable cache state; single-owner, not safe for concurrent mutation.
 
-    ``_tags[si]`` lists the tags set si holds and ``_dirty`` is the set of
-    resident dirty block numbers.  Every ``_access`` records the block
-    number it touched in ``_last``, so the hierarchy can settle a repeat
-    reference to that block as a hit in place, adding the block to
+    ``_sets[si]`` lists the block numbers set si holds and ``_dirty`` is
+    the set of resident dirty block numbers.  Every ``_access`` records the
+    block number it touched in ``_last``, so the hierarchy can settle a
+    repeat reference to that block as a hit in place, adding the block to
     ``_dirty`` on a store.  ``flush`` sets ``_last`` to None, which no
     block number equals.
     """
@@ -84,9 +85,9 @@ class Cache:
     __slots__ = (
         "name", "nsets", "bsize", "assoc",
         "_bshift", "_smask", "_tshift",
-        "_tags", "_dirty", "_lru", "_rand", "_rng",
+        "_sets", "_dirty", "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
-        "victim_addr", "_last",
+        "victim", "_last",
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
@@ -99,7 +100,7 @@ class Cache:
         self._bshift = spec.bsize.bit_length() - 1
         self._smask = spec.nsets - 1
         self._tshift = spec.nsets.bit_length() - 1
-        self._tags = [[] for _ in range(spec.nsets)]
+        self._sets = [[] for _ in range(spec.nsets)]
         self._dirty = set()
         self._lru = spec.repl is ReplacementPolicy.LRU
         self._rand = spec.repl is ReplacementPolicy.RANDOM
@@ -109,7 +110,7 @@ class Cache:
         self.replacements = 0
         self.writebacks = 0
         self.invalidations = 0
-        self.victim_addr = 0
+        self.victim = 0
         self._last = None  # block number of the latest access; None after a flush
 
     @property
@@ -123,36 +124,31 @@ class Cache:
             self.replacements, self.writebacks, self.invalidations,
         )
 
-    def _access(self, addr, write):
-        """Fast path: returns an outcome code; victim_addr is valid after
-        MISS_REPLACE / MISS_REPLACE_DIRTY."""
-        block = addr >> self._bshift
+    def _access(self, block, write):
+        """Fast path over a block number: returns an outcome code; victim is
+        valid after MISS_REPLACE / MISS_REPLACE_DIRTY."""
         self._last = block
-        si = block & self._smask
-        tag = block >> self._tshift
-        tags = self._tags[si]
+        blocks = self._sets[block & self._smask]
         if write:
             self._dirty.add(block)
-        if tag in tags:
+        if block in blocks:
             self.hits += 1
-            if self._lru and tags[-1] != tag:
-                tags.remove(tag)
-                tags.append(tag)
+            if self._lru and blocks[-1] != block:
+                blocks.remove(block)
+                blocks.append(block)
             return HIT
         self.misses += 1
-        if len(tags) < self.assoc:
-            tags.append(tag)
+        if len(blocks) < self.assoc:
+            blocks.append(block)
             return MISS_FILL
         self.replacements += 1
         if self._rand:
             way = self._draw() % self.assoc
-            victim = tags[way]
-            tags[way] = tag
+            self.victim = victim = blocks[way]
+            blocks[way] = block
         else:
-            victim = tags.pop(0)
-            tags.append(tag)
-        victim = (victim << self._tshift) | si
-        self.victim_addr = victim << self._bshift
+            self.victim = victim = blocks.pop(0)
+            blocks.append(block)
         if victim in self._dirty:
             self._dirty.remove(victim)
             self.writebacks += 1
@@ -168,7 +164,7 @@ class Cache:
         return ((x * 0x2545F4914F6CDD1D) & _MASK64) >> 32
 
     def access(self, addr, write=False) -> AccessOutcome:
-        return self.outcome(self._access(addr, write))
+        return self.outcome(self._access(addr >> self._bshift, write))
 
     def outcome(self, code) -> AccessOutcome:
         """The AccessOutcome of the fast-path code just returned."""
@@ -176,15 +172,14 @@ class Cache:
             return AccessOutcome(True)
         if code == MISS_FILL:
             return AccessOutcome(False)
-        return AccessOutcome(False, self.victim_addr >> (self._bshift + self._tshift),
-                             code == MISS_REPLACE_DIRTY)
+        return AccessOutcome(False, self.victim >> self._tshift, code == MISS_REPLACE_DIRTY)
 
     def flush(self):
         """Write back every dirty line, invalidate every valid line; the
         writebacks and invalidations counters grow by the lines affected."""
-        self.invalidations += sum(map(len, self._tags))
+        self.invalidations += sum(map(len, self._sets))
         self.writebacks += len(self._dirty)
-        for tags in self._tags:
-            tags.clear()
+        for blocks in self._sets:
+            blocks.clear()
         self._dirty.clear()
         self._last = None

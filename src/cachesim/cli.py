@@ -136,7 +136,7 @@ def _ints(tok):
 
 def _seconds(tok):
     v = float(tok)
-    if not math.isfinite(v):
+    if not math.isfinite(v) or v < 0:
         raise ValueError(tok)
     return v
 
@@ -148,7 +148,7 @@ def _format(tok):
 
 
 _WANTED = {_int: "an integer", _ints: "a comma-separated integer list",
-           _seconds: "a finite number", _format: "text, csv or json"}
+           _seconds: "a finite number >= 0", _format: "text, csv or json"}
 
 _HIER_FLAGS = tuple(DEFAULT_HIERARCHY_ARGS)
 # gen kind -> (generator, {flag: default, or None if required}), the flags
@@ -276,7 +276,6 @@ def _cmd_sim(args) -> int:
             base,
             icache_penalty=main_memory_latency(base, i_boundary.bsize) if i_boundary else 0,
             miss_penalty=main_memory_latency(base, d_boundary.bsize) if d_boundary else 0,
-            num_caches=len(h.caches),
         )
     return _simulate(h, t, opts, trace_path, simcache=True)
 

@@ -37,8 +37,8 @@ the memory boundary, and a store adds the block to the cache's
 Only an access to the cache, or a flush, changes what it holds; every
 access sets ``_last``, a flush clears it, and the hierarchy never
 back-invalidates, so the block is still resident.  A unified level is one
-Cache object with one ``_last``.  Under LRU the last-touched tag is the
-newest entry of its set's list, so touching it again leaves every set's
+Cache object with one ``_last``.  Under LRU the last-touched block is the
+newest entry of its LRU list, so touching it again leaves every set's
 order unchanged; FIFO and random change nothing on a hit.  Spans over
 more than one block, rows of size 0 or less, misses, L2 accesses and all
 of ``step()`` take the general path.
@@ -46,7 +46,8 @@ of ``step()`` take the general path.
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
 event collection is on, one TimingEvent per boundary miss, dirty
-eviction, and taken branch.
+eviction, and taken branch.  Each event is stamped with ``sim_num_insn``
+as it stood when its record began; the cycle model reads no branch's stamp.
 """
 
 import time
@@ -139,25 +140,29 @@ class Hierarchy:
             for c in path[1:]:
                 self.routed.setdefault(c.name, [0, 0])  # [refills, writebacks]
 
+        self.mem_counts = {"I": [0, 0, 0], "D": [0, 0, 0]}  # [accesses, hits, misses]
+
         # Linked level descriptors (cache, next descriptor, next's routed
-        # counters) keep the walk free of list indexing.
-        def levels(path):
+        # counters, side's mem_counts row, miss event kind) keep the walk
+        # free of list indexing and of the side; only the memory boundary
+        # (next None) has the row and the kind.
+        def levels(path, side, miss_kind):
             desc = None
             for c in reversed(path):
-                routed = self.routed[desc[0].name] if desc is not None else None
-                desc = (c, desc, routed)
+                if desc is None:
+                    desc = (c, None, None, self.mem_counts[side], miss_kind)
+                else:
+                    desc = (c, desc, self.routed[desc[0].name], None, None)
             return desc
 
-        self._i_entry = levels(self.i_path)
-        self._d_entry = levels(self.d_path)
+        self._i_entry = levels(self.i_path, "I", "imiss")
+        self._d_entry = levels(self.d_path, "D", "dmiss")
 
         self.sim_num_insn = 0
         self.sim_num_refs = 0
         self.ops_executed = 0
         self.branches = BranchCounts()
-        self.mem_counts = {"I": [0, 0, 0], "D": [0, 0, 0]}  # [accesses, hits, misses]
         self.events = None  # list[TimingEvent] when collection is enabled
-        self._now = 0
         self._log = None  # step()'s outcome list while it runs, else None
 
         # Named regions only, name -> counters credited so far (flat, in
@@ -192,11 +197,11 @@ class Hierarchy:
             acc[:] = [a + s - m for a, s, m in zip(acc, snap, self._mark)]
         self._mark = snap
 
-    def _access_level(self, level, addr, size, write, side):
+    def _access_level(self, level, addr, size, write, at):
         """Access every block of [addr, addr+size) at this level, forwarding
-        refills and writebacks downward.  Returns the number of accesses
-        issued at this level."""
-        cache, nxt, nxt_routed = level
+        refills and writebacks downward; boundary events are stamped ``at``.
+        Returns the number of accesses issued at this level."""
+        cache, nxt, nxt_routed, mc, miss_kind = level
         shift = cache._bshift
         first = addr >> shift
         last = (addr + size - 1) >> shift
@@ -204,30 +209,27 @@ class Hierarchy:
         log = self._log
         block = first
         while True:
-            code = cache._access(block << shift, write)
+            code = cache._access(block, write)
             if log is not None:
                 log.append((cache.name, cache.outcome(code)))
             if nxt is None:  # memory boundary
-                mc = self.mem_counts[side]
                 mc[0] += 1
                 if code == HIT:
                     mc[1] += 1
                 else:
                     mc[2] += 1
                     if events is not None:
-                        events.append(TimingEvent(
-                            "imiss" if side == "I" else "dmiss",
-                            self._now, cache.bsize))
+                        events.append(TimingEvent(miss_kind, at, cache.bsize))
                 if code == MISS_REPLACE_DIRTY and events is not None:
-                    events.append(TimingEvent("writeback", self._now, cache.bsize))
+                    events.append(TimingEvent("writeback", at, cache.bsize))
             elif code != HIT:
                 bsize = cache.bsize
-                victim_addr = cache.victim_addr  # before the refill recursion
+                victim = cache.victim  # before the refill recursion
                 nxt_routed[0] += self._access_level(
-                    nxt, block << shift, bsize, False, side)
+                    nxt, block << shift, bsize, False, at)
                 if code == MISS_REPLACE_DIRTY:
                     nxt_routed[1] += self._access_level(
-                        nxt, victim_addr, bsize, True, side)
+                        nxt, victim << shift, bsize, True, at)
             if block >= last:
                 return block - first + 1
             block += 1
@@ -239,27 +241,26 @@ class Hierarchy:
         itlb, dtlb = self.itlb, self.dtlb
         i_entry, d_entry = self._i_entry, self._d_entry
         entry_accesses = self.entry_accesses
-        mem_counts = self.mem_counts
         access_level = self._access_level
         log = self._log
         in_place = log is None
         for code, addr, arg in records:
             if code == 0:  # I: arg is the op count
-                self._now = self.sim_num_insn
+                at = self.sim_num_insn
                 self.sim_num_insn += 1
                 self.ops_executed += arg
-                tlb, entry, size, write, side = itlb, i_entry, 1, False, "I"
+                tlb, entry, size, write = itlb, i_entry, 1, False
             elif code == 1 or code == 2:  # L, S: arg is the size
-                self._now = self.sim_num_insn
+                at = self.sim_num_insn
                 self.sim_num_refs += 1
-                tlb, entry, size, write, side = dtlb, d_entry, arg, code == 2, "D"
+                tlb, entry, size, write = dtlb, d_entry, arg, code == 2
             elif code == 3:  # B: arg is the taken flag
                 b = self.branches
                 b.executed += 1
                 if arg:
                     b.taken += 1
                     if self.events is not None:
-                        self.events.append(TimingEvent("branch", self._now, 0))
+                        self.events.append(TimingEvent("branch", self.sim_num_insn, 0))
                 else:
                     b.not_taken += 1
                 continue
@@ -279,10 +280,11 @@ class Hierarchy:
             # The TLB -> L1 entry both access kinds share.
             if tlb is not None:
                 entry_accesses[tlb.name] += 1
-                if in_place and addr >> tlb._bshift == tlb._last:
+                page = addr >> tlb._bshift
+                if in_place and page == tlb._last:
                     tlb.hits += 1
                 else:
-                    result = tlb._access(addr, False)
+                    result = tlb._access(page, False)
                     if log is not None:
                         log.append((tlb.name, tlb.outcome(result)))
             if entry is not None:
@@ -294,12 +296,12 @@ class Hierarchy:
                     entry_accesses[c.name] += 1
                     if write:
                         c._dirty.add(block)
-                    if entry[1] is None:  # memory boundary
-                        mc = mem_counts[side]
+                    mc = entry[3]
+                    if mc is not None:  # memory boundary
                         mc[0] += 1
                         mc[1] += 1
                 else:
-                    entry_accesses[c.name] += access_level(entry, addr, size, write, side)
+                    entry_accesses[c.name] += access_level(entry, addr, size, write, at)
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]

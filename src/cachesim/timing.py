@@ -27,7 +27,8 @@ class InconsistentCounts(ValueError):
 @dataclass(frozen=True, slots=True)
 class TimingEvent:
     """One cycle-model event: kind is "imiss", "dmiss", "writeback" or
-    "branch"; ``at`` is the issuing instruction index; ``size`` the bus
+    "branch"; ``at`` is the issuing instruction index, the instruction count
+    when its record began (``account`` reads no branch's); ``size`` the bus
     transfer in bytes for miss and writeback events."""
 
     kind: str

@@ -1,11 +1,12 @@
 """Independent reference models used as oracles by the test suite.
 
 These are deliberately written apart from the package so agreement is
-meaningful.  ``RefCache`` keeps an oldest-first list per set, as the package
-does, but keeps the dirty bits in a dict per set (the package keeps one set
-of dirty blocks per cache) and has no last-touched block, so it never
-settles a reference in place.  The other oracles search for victims way by
-way or exhaustively, and the trace parsers here are written on their own.
+meaningful.  ``RefCache`` keeps an oldest-first list of tags per set, where
+the package keeps block numbers, and keeps the dirty bits in a dict per set
+(the package keeps one set of dirty blocks per cache); it has no
+last-touched block, so it never settles a reference in place.  The other
+oracles search for victims way by way or exhaustively, and the trace
+parsers here are written on their own.
 """
 
 import struct
@@ -44,6 +45,7 @@ class RefCache:
         self.misses = 0
         self.writebacks = 0
         self.replacements = 0
+        self.invalidations = 0
 
     def access(self, addr, write=False):
         block = addr // self.bsize
@@ -72,6 +74,85 @@ class RefCache:
         age.append(tag)
         return ("miss", evicted, evicted_dirty)
 
+    def flush(self):
+        """Write back every dirty line and invalidate every valid one."""
+        for lines, age in zip(self.sets, self.age):
+            self.writebacks += sum(lines.values())
+            self.invalidations += len(lines)
+            lines.clear()
+            age.clear()
+
+
+class RefHierarchy:
+    """RefCaches wired by the routing rules the package documents.
+
+    ``il1`` is a RefCache, ``"dl1"`` or ``"dl2"`` (unified with that data
+    level) or None; ``il2`` is a RefCache, ``"dl2"`` or None, and matters
+    only when il1 is a cache of its own.  A unification with an absent
+    level is absent.  Each reference looks up its side's TLB, then walks
+    its path: a miss refills from the next level, then a dirty victim is
+    written to it, and the deepest cache of a side is its memory boundary.
+    Fed plain rows ``(code, addr, arg)``.
+    """
+
+    def __init__(self, dl1, dl2=None, il1=None, il2=None, itlb=None, dtlb=None,
+                 flush_on_syscall=False):
+        self.d_path = [c for c in (dl1, dl2) if c is not None]
+        if il1 == "dl1":
+            self.i_path = self.d_path
+        elif il1 == "dl2":
+            self.i_path = self.d_path[1:]
+        elif il1 is None:
+            self.i_path = []
+        else:
+            il2 = dl2 if il2 == "dl2" else il2
+            self.i_path = [c for c in (il1, il2) if c is not None]
+        self.itlb, self.dtlb = itlb, dtlb
+        self.flush_on_syscall = flush_on_syscall
+        # Each RefCache once: a unified level is one object on both paths.
+        self.caches = list({id(c): c for c in (itlb, dtlb, *self.i_path, *self.d_path)
+                            if c is not None}.values())
+        self.mem = {"I": [0, 0, 0], "D": [0, 0, 0]}  # accesses, hits, misses
+        self.insts = self.refs = 0
+        self.branches = [0, 0, 0]  # executed, taken, not taken
+
+    def _walk(self, path, side, addr, size, write):
+        c = path[0]
+        first = addr // c.bsize
+        last = max(first, (addr + size - 1) // c.bsize)  # size <= 0: one block
+        for b in range(first, last + 1):
+            outcome, victim, dirty = c.access(b * c.bsize, write)
+            if len(path) == 1:
+                m = self.mem[side]
+                m[0] += 1
+                m[1 if outcome == "hit" else 2] += 1
+            elif outcome == "miss":
+                self._walk(path[1:], side, b * c.bsize, c.bsize, False)
+                if dirty:
+                    victim_block = victim * c.nsets + b % c.nsets
+                    self._walk(path[1:], side, victim_block * c.bsize, c.bsize, True)
+
+    def feed(self, rows):
+        for code, addr, arg in rows:
+            if code == 0:
+                self.insts += 1
+                if self.itlb is not None:
+                    self.itlb.access(addr)
+                if self.i_path:
+                    self._walk(self.i_path, "I", addr, 1, False)
+            elif code in (1, 2):
+                self.refs += 1
+                if self.dtlb is not None:
+                    self.dtlb.access(addr)
+                if self.d_path:
+                    self._walk(self.d_path, "D", addr, arg, code == 2)
+            elif code == 3:
+                self.branches[0] += 1
+                self.branches[1 if arg else 2] += 1
+            elif code == 4 and self.flush_on_syscall:
+                for c in self.caches:
+                    c.flush()
+
 
 def data_blocks(records, bsize):
     """Block numbers touched by the data references of a trace."""
@@ -97,7 +178,7 @@ def direct_misses(records, nsets, bsize, assoc, policy="l", seed=1):
             first = r.addr // bsize
             last = (r.addr + r.size - 1) // bsize
             for b in range(first, last + 1):
-                c._access(b * bsize, r.kind == "S")
+                c.access(b * bsize, r.kind == "S")
     return c.misses
 
 

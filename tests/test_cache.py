@@ -96,10 +96,11 @@ def test_random_victims_stay_in_set():
     c = make_cache(4, 32, 2, "r", seed=7)
     for addr in range(0, 4096, 32):
         c.access(addr)
-    # every set holds exactly assoc distinct valid tags
+    # every set holds exactly assoc distinct blocks, each of that set
     for si in range(c.nsets):
-        tags = c._tags[si]
-        assert len(tags) == len(set(tags)) == c.assoc
+        blocks = c._sets[si]
+        assert len(blocks) == len(set(blocks)) == c.assoc
+        assert all(b % c.nsets == si for b in blocks)
 
 
 def test_reaccess_is_always_a_hit():
@@ -139,7 +140,7 @@ def test_invalid_ways_fill_lowest_first(policy):
     c = make_cache(1, 32, 4, policy)
     for i in range(4):
         c.access(i * 32)
-    assert c._tags[0] == [0, 1, 2, 3]
+    assert c._sets[0] == [0, 1, 2, 3]
 
 
 def test_flush_counts_and_idempotence():
@@ -181,8 +182,8 @@ def test_valid_tags_distinct_within_sets():
     for _ in range(5000):
         c.access(rng.randrange(1 << 12), rng.random() < 0.5)
     for si in range(c.nsets):
-        tags = c._tags[si]
-        assert len(tags) == len(set(tags)) <= c.assoc
+        blocks = c._sets[si]
+        assert len(blocks) == len(set(blocks)) <= c.assoc
 
 
 def test_negative_address_misses_on_a_cold_cache():

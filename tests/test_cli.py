@@ -232,6 +232,7 @@ def test_vexsim_bad_clock_exits_1(capsys, cfg_file, trace_file):
     ("--clock", "inf"),
     ("-cache:il1", "dl1:128:32:1:l"),  # a second cache named dl1
     ("-cache:il1", "dl1", "-cache:il2", "il2:512:64:2:l"),  # an il2 fetches never reach
+    ("--clock", "-3"),
 ])
 def test_sim_bad_command_line_exits_1(capsys, trace_file, argv):
     assert run_cli(capsys, "sim", *argv, trace_file)[0] == 1

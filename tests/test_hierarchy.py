@@ -20,6 +20,7 @@ from cachesim import (
     write_trace_binary,
 )
 from cachesim.trace import decode_binary
+from reference import RefCache, RefHierarchy
 
 
 def build(args=(), seed=1):
@@ -148,7 +149,7 @@ def test_syscall_flush_invalidates_everything():
     h.step(inst(0x400000))
     h.step(syscall())
     for c in h.caches.values():
-        assert all(tags == [] for tags in c._tags)
+        assert all(blocks == [] for blocks in c._sets)
         assert c._dirty == set()
     assert h.caches["dl1"].invalidations == 1
     assert h.caches["dl1"].writebacks == 1
@@ -433,7 +434,7 @@ def test_run_settles_repeat_blocks_as_steps_do(rows, args, flush, seed):
     for name, c in by_run.caches.items():
         # The lines, their order and their dirty bits match.
         twin = by_steps.caches[name]
-        assert (c._tags, c._dirty) == (twin._tags, twin._dirty), name
+        assert (c._sets, c._dirty) == (twin._sets, twin._dirty), name
         refills, wbs = by_run.routed.get(name, (0, 0))
         assert c.accesses == by_run.entry_accesses[name] + refills + wbs, name
 
@@ -515,3 +516,78 @@ def test_elapsed_time_uses_injected_clock():
     rep = build().run([inst(0)] * 12, clock=lambda: next(ticks))
     assert rep.sim_elapsed_time == 3
     assert rep.sim_inst_rate == 4.0
+
+
+def _small_spec(name, bsizes):
+    return st.builds(lambda *geom: ":".join(map(str, (name, *geom))),
+                     st.sampled_from([1, 2, 4]), st.sampled_from(bsizes),
+                     st.sampled_from([1, 2]), st.sampled_from("lf"))
+
+
+@st.composite
+def _ref_flags(draw):
+    """Hierarchy flags over small LRU and FIFO caches: split, il1 unified
+    with dl1 or dl2, il2 unified or none, dl2 none, TLBs or none."""
+    dl2 = draw(st.just("none") | _small_spec("ul2", [16, 32, 64]))
+    il1 = draw(st.sampled_from(["dl1", "dl2", "none"]) | _small_spec("il1", [16, 32]))
+    il2 = draw(st.sampled_from(["dl2", "none"]) |
+               (_small_spec("il2", [16, 32, 64]) if ":" in il1 else st.nothing()))
+    return {
+        "-cache:dl1": draw(_small_spec("dl1", [16, 32])),
+        "-cache:dl2": dl2,
+        "-cache:il1": il1,
+        "-cache:il2": il2,
+        "-tlb:itlb": draw(st.just("none") | _small_spec("itlb", [64, 256])),
+        "-tlb:dtlb": draw(st.just("none") | _small_spec("dtlb", [64, 256])),
+    }
+
+
+@st.composite
+def _ref_rows(draw):
+    """Bursts of fetches, loads and stores at a 4-byte stride (sizes up to
+    40 span blocks; sizes of 0 or less touch one), branches and syscalls."""
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        code = draw(st.integers(0, 4))
+        addr = draw(st.integers(0, 1023))
+        for i in range(draw(st.integers(1, 4))):
+            if code == 0:
+                rows.append((0, addr + 4 * i, draw(st.integers(1, 3))))
+            elif code in (1, 2):
+                rows.append((code, addr + 4 * i, draw(st.integers(-1, 40))))
+            else:
+                rows.append((code, 0, int(code == 3 and draw(st.booleans()))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans())
+def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush):
+    args = [x for flag_value in flags.items() for x in flag_value]
+    h = build(args + ["-flush", "true" if flush else "false"])
+    h.run(rows, clock=lambda: 0.0)
+
+    refs = {}
+
+    def ref(flag):
+        value = flags[flag]
+        if ":" not in value:  # none, or the data level it is unified with
+            return None if value == "none" else value
+        name, nsets, bsize, assoc, policy = value.split(":")
+        refs[name] = RefCache(int(nsets), int(bsize), int(assoc), policy)
+        return refs[name]
+
+    model = RefHierarchy(*map(ref, ["-cache:dl1", "-cache:dl2", "-cache:il1",
+                                    "-cache:il2", "-tlb:itlb", "-tlb:dtlb"]),
+                         flush_on_syscall=flush)
+    model.feed(rows)
+
+    def counts(c):
+        return c.hits, c.misses, c.replacements, c.writebacks, c.invalidations
+
+    assert {n: counts(c) for n, c in h.caches.items()} == \
+        {n: counts(c) for n, c in refs.items()}
+    assert h.mem_counts == model.mem
+    assert (h.sim_num_insn, h.sim_num_refs) == (model.insts, model.refs)
+    b = h.branches
+    assert [b.executed, b.taken, b.not_taken] == model.branches
