@@ -315,7 +315,7 @@ def _cmd_sweep(args) -> int:
             if not is_pow2(v):
                 raise _UsageError(f"{flag} values must be powers of two, got {v}")
 
-    rows = sweep(list(read_rows(trace_path)), [(n, b) for n in sets for b in bsizes],
+    rows = sweep(read_rows(trace_path), [(n, b) for n in sets for b in bsizes],
                  assocs, opt=opts.get("opt", False))
     fmt = opts.get("fmt", "text")
     _emit(render_sweep_table(rows) if fmt == "text" else export(rows, fmt), opts.get("out"))

@@ -366,13 +366,14 @@ def _vex_int(kv, key, default=None):
 def parse_vex_cfg(text):
     """Parse a vex.cfg file into (dcache spec, icache spec, timing spec).
 
-    Lines read ``Key Value`` with ``#`` starting a comment.  The ``lg2Sets``
+    Lines end at ``\n``, as trace lines do, and read ``Key Value`` with
+    ``#`` starting a comment.  The ``lg2Sets``
     value is the log2 of the way count: a literal number-of-sets reading
     would turn the standard file into a 512-way cache.  Unknown keys are
     ignored with a warning; duplicate keys keep the last value.
     """
     kv = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

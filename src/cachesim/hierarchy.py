@@ -45,9 +45,9 @@ of ``step()`` take the general path.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
-event collection is on, one TimingEvent per boundary miss, dirty
-eviction, and taken branch.  Each event is stamped with ``sim_num_insn``
-as it stood when its record began; the cycle model reads no branch's stamp.
+event collection is on, one TimingEvent per bus transaction (boundary
+miss or dirty eviction), stamped with ``sim_num_insn`` as it stood when
+its record began.  Branches are counted, taken and not taken, not logged.
 """
 
 import time
@@ -161,8 +161,9 @@ class Hierarchy:
         self.sim_num_insn = 0
         self.sim_num_refs = 0
         self.ops_executed = 0
-        self.branches = BranchCounts()
-        self.events = None  # list[TimingEvent] when collection is enabled
+        self.taken_branches = 0
+        self.not_taken_branches = 0
+        self.events = None  # bus TimingEvents, a list when collection is on
         self._log = None  # step()'s outcome list while it runs, else None
 
         # Named regions only, name -> counters credited so far (flat, in
@@ -180,9 +181,9 @@ class Hierarchy:
         """The monotonic counters regions are credited from: insts, ops,
         refs, branches (executed, taken, not taken), boundary misses (I, D),
         then per cache hits, misses, replacements, writebacks, invalidations."""
-        b = self.branches
+        taken, not_taken = self.taken_branches, self.not_taken_branches
         snap = [self.sim_num_insn, self.ops_executed, self.sim_num_refs,
-                b.executed, b.taken, b.not_taken,
+                taken + not_taken, taken, not_taken,
                 self.mem_counts["I"][2], self.mem_counts["D"][2]]
         for c in self.caches.values():
             snap += (c.hits, c.misses, c.replacements, c.writebacks, c.invalidations)
@@ -255,14 +256,10 @@ class Hierarchy:
                 self.sim_num_refs += 1
                 tlb, entry, size, write = dtlb, d_entry, arg, code == 2
             elif code == 3:  # B: arg is the taken flag
-                b = self.branches
-                b.executed += 1
                 if arg:
-                    b.taken += 1
-                    if self.events is not None:
-                        self.events.append(TimingEvent("branch", self.sim_num_insn, 0))
+                    self.taken_branches += 1
                 else:
-                    b.not_taken += 1
+                    self.not_taken_branches += 1
                 continue
             elif code == 4:  # Y
                 if self.flush_on_syscall:

@@ -137,9 +137,10 @@ def sweep(records, geometries, assocs, opt=False):
     ``opt``, under OPT: one stack pass per geometry and policy, the block
     stream built once per block size.  Rows come in ``geometries`` order,
     all LRU rows first; their policy is None unless ``opt`` is set.
-    ``records`` must be re-iterable (e.g. a list)."""
+    ``records`` is any iterable; it is read once."""
     if not geometries or not assocs:
         raise ValueError("geometries and assocs must be non-empty")
+    records = list(records)
     policies = ("lru", "opt") if opt else (None,)
     misses = {}  # (policy, nsets, bsize) -> misses per entry of assocs
     totals = {}

@@ -1,11 +1,12 @@
-"""VLIW-style cycle accounting over a simulation's event stream.
+"""VLIW-style cycle accounting over a simulation's bus transactions.
 
 Execution takes one core cycle per instruction record.  Stalls decompose
 into miss service (misses times the side's penalty), bus-conflict waiting,
-and taken-branch stalls.  A single memory bus serves refills and
-writebacks in trace order: each transaction requests the bus at its
-event's timestamp (the instruction index when it was issued, a documented
-approximation), waits until the bus frees, and occupies it for
+and taken-branch stalls, which come from the branch counts alone.  A
+single memory bus serves refills and writebacks in trace order: each
+transaction requests the bus at its event's timestamp (the instruction
+index when it was issued, a documented approximation), waits until the
+bus frees, and occupies it for
 
     ceil(ceil(size / mem_width) * core_clk / bus_clk)  core cycles,
 
@@ -26,14 +27,13 @@ class InconsistentCounts(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class TimingEvent:
-    """One cycle-model event: kind is "imiss", "dmiss", "writeback" or
-    "branch"; ``at`` is the issuing instruction index, the instruction count
-    when its record began (``account`` reads no branch's); ``size`` the bus
-    transfer in bytes for miss and writeback events."""
+    """One bus transaction: kind is "imiss", "dmiss" or "writeback"; ``at``
+    is the issuing instruction index, the instruction count when its record
+    began; ``size`` the transfer in bytes."""
 
     kind: str
     at: int
-    size: int = 0
+    size: int
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,12 @@ def _transfer_cycles(t, size):
 
 
 def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
-    """Fold an event stream into a CycleReport.
+    """Fold a stream of bus transactions into a CycleReport.
 
-    ``imem`` and ``dmem`` are (accesses, hits, misses) summaries and
-    ``branches`` is (executed, taken, not_taken); each must agree with the
-    event stream or InconsistentCounts is raised.
+    ``imem`` and ``dmem`` are (accesses, hits, misses) summaries whose
+    misses must agree with the stream's miss events, and ``branches`` is
+    (executed, taken, not_taken); an inconsistent summary raises
+    InconsistentCounts.  The branch stall is taken times ``branch_stall``.
     """
     i_acc, i_hit, i_miss = imem
     d_acc, d_hit, d_miss = dmem
@@ -96,15 +97,12 @@ def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
     if br_exec != br_taken + br_not:
         raise InconsistentCounts("executed branches != taken + not taken")
 
-    n_imiss = n_dmiss = n_branch = 0
+    n_imiss = n_dmiss = 0
     bus_free = 0
     bus_busy = 0
     i_conflict = d_conflict = 0
     for ev in events:
         kind = ev.kind
-        if kind == "branch":
-            n_branch += 1
-            continue
         if ev.size < 1:
             raise ValueError(f"bus event needs a transfer size: {ev}")
         start = ev.at if ev.at > bus_free else bus_free
@@ -126,10 +124,6 @@ def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
         raise InconsistentCounts(
             f"event misses ({n_imiss} I, {n_dmiss} D) disagree with the "
             f"summaries ({i_miss} I, {d_miss} D)"
-        )
-    if n_branch != br_taken:
-        raise InconsistentCounts(
-            f"{n_branch} taken-branch events but {br_taken} taken branches"
         )
 
     i_stall_miss = i_miss * t.icache_penalty

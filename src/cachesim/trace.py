@@ -25,9 +25,9 @@ Each format has one decoder that yields rows.  ``decode_text`` takes
 text lines one at a time.  ``decode_binary`` reads a ``.ctb`` file in
 chunks of ``_CHUNK`` bytes (whole records) and runs
 ``struct.iter_unpack`` over each stretch of fixed records; it restarts
-after each region name and carries a partial record, or a region record
-with part of its name, over to the next chunk, so its memory is bounded
-by the chunk size, not the file size.  ``parse_trace``,
+after each region name, carries a partial record over to the next chunk
+and reads the rest of a name that runs past its chunk from the file, so
+its memory is one chunk and one name, not the file.  ``parse_trace``,
 ``parse_trace_binary`` and ``read_trace_path`` wrap them to yield
 TraceRecords; ``read_rows`` opens a file of either format as rows.
 """
@@ -223,20 +223,27 @@ _CHUNK = _REC.size * 8192  # bytes per .ctb read, about 88 KiB
 
 
 def write_trace_binary(records):
-    """Render records (or rows) as .ctb bytes."""
+    """Render records (or rows) as .ctb bytes; a record .ctb cannot hold
+    raises a ValueError naming its 1-based ordinal."""
     chunks = []
-    for code, addr, arg in records:
-        if code <= 2:
-            chunks.append(_REC.pack(code, addr, arg))
-        elif code == 3:
-            chunks.append(_REC.pack(3, 0, 1 if arg else 0))
-        elif code == 4:
-            chunks.append(_REC.pack(4, 0, 0))
-        elif code == 5:
-            name = arg.encode("utf-8")
-            chunks.append(_REC.pack(5, 0, len(name)) + name)
-        else:
-            raise ValueError(f"unknown record kind code {code!r}")
+    for n, (code, addr, arg) in enumerate(records, 1):
+        try:
+            if code <= 2:
+                chunks.append(_REC.pack(code, addr, arg))
+            elif code == 3:
+                chunks.append(_REC.pack(3, 0, 1 if arg else 0))
+            elif code == 4:
+                chunks.append(_REC.pack(4, 0, 0))
+            elif code == 5:
+                name = region(arg).name.encode("utf-8")  # re-validated, as write_trace does
+                chunks.append(_REC.pack(5, 0, len(name)) + name)
+            else:
+                raise ValueError(f"unknown record kind code {code!r}")
+        except struct.error:
+            raise ValueError(f"record {n}: a .ctb record holds a size, op count or "
+                             f"name length of 0 to 65535 and a 64-bit address") from None
+        except ValueError as exc:
+            raise ValueError(f"record {n}: {exc}") from None
     return b"".join(chunks)
 
 
@@ -245,9 +252,8 @@ def decode_binary(fh):
     errors carry the 1-based record ordinal."""
     rec = _REC.size
     n = 0  # records decoded
-    buf = b""  # bytes not yet decoded: a partial record, or a region record and part of its name
-    while True:
-        data = fh.read(_CHUNK)
+    buf = b""  # bytes not yet decoded: a partial record
+    while data := fh.read(_CHUNK):
         buf += data
         off = 0
         while True:  # one iter_unpack per stretch of fixed records
@@ -276,19 +282,18 @@ def decode_binary(fh):
                 break
             # A region record: its name's val bytes follow the fixed part.
             at = off + (n - first) * rec
-            if at + val > len(buf):
-                if not data:
+            name = buf[at:at + val]
+            if len(name) < val:
+                # One read finishes the name: read_rows' buffered file and
+                # parse_trace_binary's BytesIO read short only at end of file.
+                name += fh.read(val - len(name))
+                if len(name) < val:
                     raise TraceSyntaxError(n, "truncated region name")
-                n -= 1
-                off = at - rec  # decode the record again once more bytes are read
-                break
-            yield _checked(n, lambda name: region(name.decode("utf-8")), buf[at:at + val])
-            off = at + val
+            yield _checked(n, lambda name: region(name.decode("utf-8")), name)
+            off = min(at + val, len(buf))
         buf = buf[off:]
-        if not data:
-            if buf:
-                raise TraceSyntaxError(n + 1, "truncated record")
-            return
+    if buf:
+        raise TraceSyntaxError(n + 1, "truncated record")
 
 
 _as_record = partial(tuple.__new__, TraceRecord)

@@ -287,6 +287,15 @@ def test_vex_malformed_line_reports_number():
         parse_vex_cfg("CoreCkFreq 1000\nBusCkFreq\n")
 
 
+def test_vex_lines_end_at_newline_only():
+    # A form feed or U+2028 in a comment does not end its line, and an error
+    # names the line by its count of newlines.
+    text = VEX_CFG.replace("\n", "# page\x0cbreak\n", 1) + "# para\u2028graph\n"
+    assert parse_vex_cfg(text) == parse_vex_cfg(VEX_CFG)
+    with pytest.raises(ConfigError, match="^line 3: "):
+        parse_vex_cfg("# a\x0cb\u2028c\n# d\x85e\nBusCkFreq\n")
+
+
 def test_timing_validation():
     _, _, t = parse_vex_cfg(VEX_CFG)
     from dataclasses import replace

@@ -169,7 +169,19 @@ def test_branches_touch_no_cache():
     h = build()
     assert h.step(branch(True)) == []
     assert h.step(branch(False)) == []
-    assert (h.branches.executed, h.branches.taken, h.branches.not_taken) == (2, 1, 1)
+    b = h.run([], clock=lambda: 0.0).branches
+    assert (b.executed, b.taken, b.not_taken) == (2, 1, 1)
+
+
+def test_events_are_bus_transactions_only():
+    # Direct-mapped 4 x 32 B dl1 and il1: taken branches between misses and
+    # a dirty eviction add counts, never events.
+    h = mini(il1="il1:4:32:1:l", dl1="dl1:4:32:1:l")
+    rep = h.run([inst(0, 1), branch(True), store(0x40, 4), branch(True),
+                 load(0x40 + 128, 4), branch(False), branch(True)],
+                collect_events=True, clock=lambda: 0.0)
+    assert [e.kind for e in h.events] == ["imiss", "dmiss", "dmiss", "writeback"]
+    assert (rep.branches.taken, rep.branches.not_taken) == (3, 1)
 
 
 def test_run_empty_trace():
@@ -565,7 +577,7 @@ def _ref_rows(draw):
 def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush):
     args = [x for flag_value in flags.items() for x in flag_value]
     h = build(args + ["-flush", "true" if flush else "false"])
-    h.run(rows, clock=lambda: 0.0)
+    rep = h.run(rows, clock=lambda: 0.0)
 
     refs = {}
 
@@ -589,5 +601,5 @@ def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush):
         {n: counts(c) for n, c in refs.items()}
     assert h.mem_counts == model.mem
     assert (h.sim_num_insn, h.sim_num_refs) == (model.insts, model.refs)
-    b = h.branches
+    b = rep.branches
     assert [b.executed, b.taken, b.not_taken] == model.branches

@@ -63,6 +63,14 @@ def test_sweep_empty_trace():
     assert len(rows) == 4
 
 
+def test_sweep_reads_a_one_shot_iterator_once():
+    records = gen_random(6, 0, 1 << 12, 300)
+    geometries = [(16, 32), (16, 64)]
+    rows = sweep(iter(records), geometries, [1, 2], opt=True)
+    assert rows == sweep(records, geometries, [1, 2], opt=True)
+    assert all(r.misses > 0 for r in rows)
+
+
 def test_huge_set_count_allocates_no_stacks_up_front():
     records = refs([0, 1, 0, 1 << 41])  # blocks 0 and 2**41 share set 0
     h = stack_distances(records, 1 << 40, 32)

@@ -79,34 +79,39 @@ def test_writebacks_occupy_bus_but_do_not_stall():
 
 
 def test_branch_stall():
-    ev = [TimingEvent("branch", i) for i in range(243)]
-    c = account(ev, VEX_TIMING, insn_count=1488, op_count=1689,
+    c = account([], VEX_TIMING, insn_count=1488, op_count=1689,
                 imem=(0, 0, 0), dmem=(0, 0, 0), branches=(334, 243, 91))
     assert c.branch.branch_stall_cycles == 243
     assert c.stall_cycles == 243
+
+
+def test_branch_is_not_a_bus_event():
+    # Taken branches reach the cycle model only through ``branches``.
+    for size in (0, 4):
+        with pytest.raises(ValueError):
+            account([TimingEvent("branch", 0, size)], VEX_TIMING, 10, 10,
+                    imem=(0, 0, 0), dmem=(0, 0, 0), branches=(1, 1, 0))
 
 
 def test_report_identities_random_events():
     rng = random.Random(77)
     for trial in range(50):
         events = []
-        n_i = n_d = n_wb = n_br = 0
+        n_i = n_d = n_wb = 0
         at = 0
         for _ in range(rng.randrange(0, 120)):
             at += rng.randrange(0, 6)
-            kind = rng.randrange(4)
+            kind = rng.randrange(3)
             if kind == 0:
                 events.append(imiss(at, rng.choice([16, 32, 64])))
                 n_i += 1
             elif kind == 1:
                 events.append(dmiss(at, rng.choice([16, 32, 64])))
                 n_d += 1
-            elif kind == 2:
+            else:
                 events.append(TimingEvent("writeback", at, 32))
                 n_wb += 1
-            else:
-                events.append(TimingEvent("branch", at))
-                n_br += 1
+        n_br = rng.randrange(0, 40)
         insn = at + rng.randrange(1, 50)
         c = account(events, VEX_TIMING, insn, insn + 10,
                     imem=(n_i + 5, 5, n_i), dmem=(n_d + 3, 3, n_d),
@@ -121,7 +126,7 @@ def test_report_identities_random_events():
 
 
 def test_penalty_linearity():
-    events = [imiss(0), imiss(3), dmiss(9), TimingEvent("branch", 12)]
+    events = [imiss(0), imiss(3), dmiss(9)]
     args = dict(insn_count=100, op_count=100,
                 imem=(10, 8, 2), dmem=(5, 4, 1), branches=(3, 1, 2))
     base = account(events, VEX_TIMING, **args)
@@ -151,8 +156,8 @@ def test_inconsistent_counts_rejected():
         account([], VEX_TIMING, 10, 10,
                 imem=(5, 3, 1), dmem=(0, 0, 0), branches=(0, 0, 0))
     with pytest.raises(InconsistentCounts):
-        account([TimingEvent("branch", 0)], VEX_TIMING, 10, 10,
-                imem=(0, 0, 0), dmem=(0, 0, 0), branches=(2, 2, 0))
+        account([], VEX_TIMING, 10, 10,
+                imem=(0, 0, 0), dmem=(0, 0, 0), branches=(3, 2, 0))
 
 
 def test_main_memory_latency():

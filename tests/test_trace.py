@@ -162,6 +162,19 @@ def test_binary_truncation_detected():
         list(parse_trace_binary(data))
 
 
+def test_binary_writer_refuses_what_ctb_cannot_hold():
+    # The 2-byte field holds a size, an op count or a name length up to 65,535.
+    longest = "n" * 0xFFFF
+    records = [load(0, 0xFFFF), inst(0, 0xFFFF), region(longest)]
+    assert list(parse_trace_binary(write_trace_binary(records))) == records
+    for rows in ([load(0, 70000)], [(0, 0, 1), (0, 0, 0x10000)],
+                 [branch(True), region("\u00e9" * 0x8000)]):  # 65,536 bytes of UTF-8
+        with pytest.raises(ValueError, match=f"^record {len(rows)}: .* 0 to 65535 "):
+            write_trace_binary(rows)
+    with pytest.raises(ValueError, match="^record 2: region name must be a single token"):
+        write_trace_binary([syscall(), (5, 0, "a b")])
+
+
 def test_file_round_trip(tmp_path):
     records = _random_records(random.Random(9), 200)
     text_path = tmp_path / "t.ct"
