@@ -10,26 +10,15 @@ from .cache import AccessOutcome, Cache, CacheStats
 from .config import (
     CacheSpec,
     ConfigError,
-    GeometryUnderflow,
     HierarchySpec,
-    InvalidUnification,
-    MissingKey,
-    NonNumeric,
-    NonNumericValue,
-    NonPowerOfTwo,
     ReplacementPolicy,
     TimingSpec,
-    UnifiedWith,
-    UnknownFlag,
-    UnknownPolicy,
-    WrongFieldCount,
     parse_cache_spec,
     parse_hierarchy_args,
     parse_vex_cfg,
 )
 from .hierarchy import BranchCounts, Hierarchy, RegionCounters, SimReport, TOTAL_REGION
 from .report import (
-    UnsupportedFormat,
     export,
     render_region_profile,
     render_simcache,

@@ -9,14 +9,19 @@ Two configuration dialects are supported and normalized into one model:
   ``lg2CacheSize 16`` (a 64 KiB cache).
 
 All parses are pure functions over their inputs; the resulting spec
-objects are immutable.
+objects are immutable.  Every bad value raises ``ConfigError`` (a
+``ValueError``) whose message names the problem.  A unified level is
+spelled as the bare name of its data level, ``"dl1"`` or ``"dl2"``, both
+in the flag values and in ``HierarchySpec.il1``/``il2``.
 
 Each rule is stated once.  ``DEFAULT_HIERARCHY_ARGS`` holds the hierarchy
 flags and their defaults; the CLI's flag list is its keys.  ``_UNIFIABLE``
 says which level may be unified with which data level; both the flag
-decoder and ``HierarchySpec.validate`` read it.  ``CacheSpec.validate``
-holds the power-of-two rule.  ``_VEX_GEOMETRY`` and ``_VEX_TIMING`` list
-every vex.cfg key that is read, with its TimingSpec field and default.
+decoder and ``HierarchySpec.validate`` read it.  ``_check_pow2`` holds the
+power-of-two rule for cache geometry and ``mem_width``.  ``_VEX_GEOMETRY``
+and ``_VEX_TIMING`` list every vex.cfg key that is read, with its
+TimingSpec field and default; ``_vex_int`` rejects a negative value of any
+of them, and an lg2 value over 48, naming the key and its line.
 """
 
 import warnings
@@ -25,58 +30,8 @@ from enum import Enum
 
 
 class ConfigError(ValueError):
-    """Base class for configuration parse and validation failures."""
-
-
-class WrongFieldCount(ConfigError):
-    pass
-
-
-class NonPowerOfTwo(ConfigError):
-    def __init__(self, field_name, value):
-        super().__init__(f"{field_name} must be a power of two >= 1, got {value}")
-        self.field = field_name
-        self.value = value
-
-
-class UnknownPolicy(ConfigError):
-    def __init__(self, char):
-        super().__init__(f"unknown replacement policy {char!r}: expected 'l', 'f' or 'r'")
-        self.char = char
-
-
-class NonNumeric(ConfigError):
-    def __init__(self, field_name, text):
-        super().__init__(f"{field_name} must be a plain decimal integer, got {text!r}")
-        self.field = field_name
-        self.text = text
-
-
-class InvalidUnification(ConfigError):
-    pass
-
-
-class UnknownFlag(ConfigError):
-    pass
-
-
-class MissingKey(ConfigError):
-    def __init__(self, key):
-        super().__init__(f"required key {key!r} missing")
-        self.key = key
-
-
-class NonNumericValue(ConfigError):
-    def __init__(self, key, text, line_no=None):
-        where = "" if line_no is None else f"line {line_no}: "
-        super().__init__(f"{where}value for {key!r} must be an integer, got {text!r}")
-        self.key = key
-        self.text = text
-        self.line_no = line_no
-
-
-class GeometryUnderflow(ConfigError):
-    pass
+    """A configuration parse or validation failure; the message names the
+    problem, and the line where one applies."""
 
 
 # Largest nsets x assoc a simulated cache may have; Cache builds its sets
@@ -87,6 +42,11 @@ MAX_CACHE_LINES = 1 << 20
 def is_pow2(n):
     """True for 1, 2, 4, 8, ... only."""
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _check_pow2(field_name, value):
+    if not is_pow2(value):
+        raise ConfigError(f"{field_name} must be a power of two >= 1, got {value}")
 
 
 class ReplacementPolicy(Enum):
@@ -117,9 +77,7 @@ class CacheSpec:
         if not self.name or any(c.isspace() for c in self.name) or ":" in self.name:
             raise ConfigError(f"invalid cache name {self.name!r}")
         for fname in ("nsets", "bsize", "assoc"):
-            v = getattr(self, fname)
-            if not is_pow2(v):
-                raise NonPowerOfTwo(fname, v)
+            _check_pow2(fname, getattr(self, fname))
         return self
 
     def check_size(self):
@@ -134,17 +92,6 @@ class CacheSpec:
         return f"{self.name}:{self.nsets}:{self.bsize}:{self.assoc}:{self.repl.value}"
 
 
-@dataclass(frozen=True)
-class UnifiedWith:
-    """Binding that aliases an instruction-cache level onto a data level."""
-
-    target: str  # "dl1" or "dl2"
-
-
-# A cache level is either configured, absent, or unified with a data level.
-CacheBinding = CacheSpec | UnifiedWith | None
-
-
 def parse_cache_spec(text):
     """Parse ``<name>:<nsets>:<bsize>:<assoc>:<repl>`` into a CacheSpec.
 
@@ -153,16 +100,15 @@ def parse_cache_spec(text):
     """
     parts = text.split(":")
     if len(parts) != 5:
-        raise WrongFieldCount(
-            f"expected 5 colon-separated fields in {text!r}, got {len(parts)}"
-        )
+        raise ConfigError(f"expected 5 colon-separated fields in {text!r}, got {len(parts)}")
     for fname, tok in zip(("nsets", "bsize", "assoc"), parts[1:4]):
         if not tok.isdigit() or str(int(tok)) != tok:
-            raise NonNumeric(fname, tok)
+            raise ConfigError(f"{fname} must be a plain decimal integer, got {tok!r}")
     try:
         repl = ReplacementPolicy(parts[4])
     except ValueError:
-        raise UnknownPolicy(parts[4]) from None
+        raise ConfigError(f"unknown replacement policy {parts[4]!r}: "
+                          "expected 'l', 'f' or 'r'") from None
     return CacheSpec(parts[0], *map(int, parts[1:4]), repl).validate()
 
 
@@ -175,19 +121,22 @@ _UNIFIABLE = {"il1": ("dl1", "dl2"), "il2": ("dl2",)}
 
 
 def _bad_unification(name, level, target):
-    """The error for ``level``, called ``name`` in the message, given the
-    bare level name ``target`` it may not be unified with."""
+    """The error for ``level``, called ``name`` in the message, given a
+    string ``target`` that names no data level it may be unified with."""
     words = ("a config string", *map(repr, ("none", *_UNIFIABLE.get(level, ()))))
-    return InvalidUnification(f"{name} takes {', '.join(words[:-1])} or {words[-1]}, "
-                              f"not {target!r}")
+    return ConfigError(f"{name} takes {', '.join(words[:-1])} or {words[-1]}, not {target!r}")
 
 
 @dataclass(frozen=True)
 class HierarchySpec:
-    """Bindings for the two-level split/unified hierarchy plus both TLBs."""
+    """Bindings for the two-level split/unified hierarchy plus both TLBs.
 
-    il1: CacheBinding = None
-    il2: CacheBinding = None
+    ``il1`` and ``il2`` may also name the data level they are unified
+    with, ``"dl1"`` or ``"dl2"``, as the ``-cache:il1``/``-cache:il2``
+    flag values do."""
+
+    il1: CacheSpec | str | None = None
+    il2: CacheSpec | str | None = None
     dl1: CacheSpec | None = None
     dl2: CacheSpec | None = None
     itlb: CacheSpec | None = None
@@ -197,14 +146,14 @@ class HierarchySpec:
     def validate(self):
         bindings = [getattr(self, level) for level in _LEVELS]
         for level, b in zip(_LEVELS, bindings):
-            if isinstance(b, UnifiedWith) and b.target not in _UNIFIABLE.get(level, ()):
-                raise _bad_unification(level, level, b.target)
+            if isinstance(b, str) and b not in _UNIFIABLE.get(level, ()):
+                raise _bad_unification(level, level, b)
         if self.dl2 is not None and self.dl1 is None:
             raise ConfigError("dl2 is configured but dl1 is none")
         if isinstance(self.il2, CacheSpec) and not isinstance(self.il1, CacheSpec):
             # Fetches follow il1: with il1 unified they take the data chain.
             il1 = "none" if self.il1 is None else \
-                f"unified with {self.il1.target}, so fetches never reach il2"
+                f"unified with {self.il1}, so fetches never reach il2"
             raise ConfigError(f"il2 is configured but il1 is {il1}")
         names = set()
         for b in bindings:
@@ -244,7 +193,7 @@ def _decode_level(level, merged):
         return parse_cache_spec(value)
     if value not in _UNIFIABLE.get(level, ()):
         raise _bad_unification(flag, level, value)
-    return None if merged[_LEVEL_FLAGS[value]] == "none" else UnifiedWith(value)
+    return None if merged[_LEVEL_FLAGS[value]] == "none" else value
 
 
 def parse_hierarchy_args(args):
@@ -258,7 +207,7 @@ def parse_hierarchy_args(args):
         raise ConfigError(f"flag {args[-1]!r} is missing its value")
     for flag, value in zip(args[0::2], args[1::2]):
         if flag not in merged:
-            raise UnknownFlag(f"unknown flag {flag!r}")
+            raise ConfigError(f"unknown flag {flag!r}")
         merged[flag] = value
 
     if merged["-flush"] not in ("true", "false"):
@@ -298,8 +247,7 @@ class TimingSpec:
             if f.name not in ("core_clk_mhz", "bus_clk_mhz", "mem_width") \
                     and getattr(self, f.name) < 0:
                 raise ConfigError(f"{f.name} must be >= 0")
-        if not is_pow2(self.mem_width):
-            raise NonPowerOfTwo("mem_width", self.mem_width)
+        _check_pow2("mem_width", self.mem_width)
         return self
 
 
@@ -340,7 +288,7 @@ def _vex_geometry(kv, name, size_key, sets_key, line_key):
     assoc = 1 << _vex_int(kv, sets_key)
     bsize = 1 << _vex_int(kv, line_key)
     if size < bsize * assoc:
-        raise GeometryUnderflow(
+        raise ConfigError(
             f"line {kv[size_key][1]}: {size_key}: cache of {size} bytes cannot hold "
             f"{assoc} ways of {bsize}-byte lines"
         )
@@ -352,13 +300,14 @@ def _vex_int(kv, key, default=None):
     if key not in kv:
         if default is not None:
             return default
-        raise MissingKey(key)
+        raise ConfigError(f"required key {key!r} missing")
     text, line_no = kv[key]
     try:
         v = int(text)
     except ValueError:
-        raise NonNumericValue(key, text, line_no) from None
-    if key.startswith("lg2") and not 0 <= v <= 48:
+        raise ConfigError(f"line {line_no}: value for {key!r} must be an integer, "
+                          f"got {text!r}") from None
+    if v < 0 or key.startswith("lg2") and v > 48:
         raise ConfigError(f"line {line_no}: {key} out of range: {v}")
     return v
 

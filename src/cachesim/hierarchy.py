@@ -55,7 +55,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .cache import HIT, MISS_REPLACE_DIRTY, Cache, CacheStats
-from .config import HierarchySpec, UnifiedWith
+from .config import HierarchySpec
 from .timing import TimingEvent
 
 TOTAL_REGION = "TOTAL"
@@ -110,8 +110,8 @@ class Hierarchy:
         level = {}
         for name in ("dl1", "dl2", "il1", "il2", "itlb", "dtlb"):
             b = getattr(spec, name)
-            if isinstance(b, UnifiedWith):
-                b = level[b.target]
+            if isinstance(b, str):
+                b = level[b]
             elif b is not None:
                 b = Cache(b, _cache_seed(seed, b.name))
             level[name] = b
@@ -120,7 +120,7 @@ class Hierarchy:
         self.d_path = [c for c in (dl1, dl2) if c is not None]
         if il1 is None:
             self.i_path = []  # even when il2 is unified with dl2
-        elif isinstance(spec.il1, UnifiedWith):
+        elif isinstance(spec.il1, str):
             # Fetches enter the data chain and follow it down.
             self.i_path = self.d_path[self.d_path.index(il1):]
         else:

@@ -25,10 +25,6 @@ from .sweep import SweepRow
 from .timing import CycleReport
 
 
-class UnsupportedFormat(ValueError):
-    pass
-
-
 def fixed(value, places):
     """Render a number with a fixed decimal count, rounding half-up."""
     q = Decimal(1).scaleb(-places)
@@ -219,7 +215,7 @@ def export(obj, fmt: str) -> str:
     CSV is one ``key,value`` line per flattened field, or for sweep rows
     the table ``render_sweep_table`` prints, one row per line."""
     if fmt not in ("csv", "json"):
-        raise UnsupportedFormat(f"unsupported format {fmt!r}: use 'csv' or 'json'")
+        raise ValueError(f"unsupported format {fmt!r}: use 'csv' or 'json'")
     if isinstance(obj, (SimReport, CycleReport)):
         d = asdict(obj)
     elif isinstance(obj, dict) and all(isinstance(r, (SimReport, CycleReport))

@@ -12,7 +12,8 @@ Text format (``.ct``), one record per line, ``#`` starts a comment:
 Binary format (``.ctb``): fixed 11-byte records of 1-byte kind code,
 8-byte little-endian address, 2-byte little-endian size/ops field.
 Region records append the UTF-8 name bytes (length in the 2-byte field)
-after the fixed part.  Kind codes are I=0 L=1 S=2 B=3 Y=4 R=5.
+after the fixed part.  Kind codes are I=0 L=1 S=2 B=3 Y=4 R=5.  A branch
+record's 2-byte field is 1 for taken and 0 for not taken.
 
 In memory a record is one row, a 3-tuple ``(code, addr, arg)``: the kind
 code as in ``.ctb``, the address (0 for B, Y and R) and one argument,
@@ -270,7 +271,9 @@ def decode_binary(fh):
                         _checked(n, inst, addr, val)  # raises
                     yield (0, addr, val)
                 elif code == 3:
-                    yield _TAKEN if val == 1 else _NOT_TAKEN
+                    if val > 1:
+                        raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
+                    yield _TAKEN if val else _NOT_TAKEN
                 elif code == 4:
                     yield _SYSCALL
                 elif code == 5:

@@ -4,12 +4,15 @@ These are deliberately written apart from the package so agreement is
 meaningful.  ``RefCache`` keeps an oldest-first list of tags per set, where
 the package keeps block numbers, and keeps the dirty bits in a dict per set
 (the package keeps one set of dirty blocks per cache); it has no
-last-touched block, so it never settles a reference in place.  The other
+last-touched block, so it never settles a reference in place.  Its random
+policy keeps the list in way order and draws victims from its own
+xorshift64* generator, written from the generator's definition.  The other
 oracles search for victims way by way or exhaustively, and the trace
 parsers here are written on their own.
 """
 
 import struct
+import zlib
 
 from cachesim import (
     Cache,
@@ -26,15 +29,27 @@ from cachesim import (
 from cachesim.trace import MAX_ADDR
 
 
-class RefCache:
-    """Dict-based set-associative model for LRU and FIFO.
+def cache_seed(master, name):
+    """The documented seed of the cache called ``name`` in a hierarchy run
+    with seed ``master``."""
+    return (master * 2654435761 + zlib.crc32(bytes(name, "utf-8"))) % 2**64
 
-    Each set is a dict tag -> dirty plus an age list ordered oldest first.
-    LRU moves a tag to the back on every touch; FIFO never reorders.
+
+class RefCache:
+    """Dict-based set-associative model for LRU, FIFO and random.
+
+    Each set is a dict tag -> dirty plus an age list.  LRU and FIFO keep the
+    list oldest first: LRU moves a tag to the back on every touch, FIFO
+    never reorders, and a full set evicts the front.  Random keeps the list
+    in way order (a fill takes the lowest free way) and a full set evicts
+    the way xorshift64* draws, its output's high 32 bits modulo assoc; the
+    generator starts at ``seed`` mod 2**64, or at 0x9E3779B97F4A7C15 when
+    that is zero.
     """
 
-    def __init__(self, nsets, bsize, assoc, policy="l"):
-        assert policy in ("l", "f")
+    def __init__(self, nsets, bsize, assoc, policy="l", seed=1):
+        assert policy in ("l", "f", "r")
+        self.state = seed % 2**64 or 0x9E3779B97F4A7C15
         self.nsets = nsets
         self.bsize = bsize
         self.assoc = assoc
@@ -64,15 +79,31 @@ class RefCache:
         self.misses += 1
         evicted = None
         evicted_dirty = False
-        if len(lines) >= self.assoc:
-            evicted = age.pop(0)
+        if len(lines) < self.assoc:
+            age.append(tag)
+        else:
+            if self.policy == "r":
+                way = self.xorshift64star() // 2**32 % self.assoc
+                evicted, age[way] = age[way], tag
+            else:
+                evicted = age.pop(0)
+                age.append(tag)
             evicted_dirty = lines.pop(evicted)
             self.replacements += 1
             if evicted_dirty:
                 self.writebacks += 1
         lines[tag] = write
-        age.append(tag)
         return ("miss", evicted, evicted_dirty)
+
+    def xorshift64star(self):
+        """Marsaglia's xorshift (shifts 12, 25, 27) on a 64-bit state, output
+        times 2685821657736338717 mod 2**64 (Vigna's xorshift64*)."""
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) % 2**64
+        x ^= x >> 27
+        self.state = x
+        return x * 2685821657736338717 % 2**64
 
     def flush(self):
         """Write back every dirty line and invalidate every valid one."""
@@ -367,6 +398,8 @@ def parse_trace_binary(data):
             elif kind == "S":
                 yield store(addr, val)
             elif kind == "B":
+                if val not in (0, 1):
+                    raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
                 yield branch(val == 1)
             elif kind == "Y":
                 yield syscall()

@@ -36,9 +36,7 @@ from cachesim import (
     syscall,
     branch,
     Hierarchy,
-    NonPowerOfTwo,
-    UnknownPolicy,
-    WrongFieldCount,
+    ConfigError,
 )
 from cachesim.cli import main
 from reference import brute_min_misses, direct_misses
@@ -66,11 +64,13 @@ def test_criterion_1_config_fidelity():
     start = time.perf_counter()
     for text in PUBLISHED_CONFIG_STRINGS:
         assert parse_cache_spec(text).render() == text
-    with pytest.raises(NonPowerOfTwo):
+    with pytest.raises(ConfigError, match=r"^nsets must be a power of two >= 1, got 100$"):
         parse_cache_spec("dl1:100:32:1:l")
-    with pytest.raises(WrongFieldCount):
+    with pytest.raises(ConfigError,
+                       match=r"^expected 5 colon-separated fields in 'dl1:256:32:1', got 4$"):
         parse_cache_spec("dl1:256:32:1")
-    with pytest.raises(UnknownPolicy):
+    with pytest.raises(ConfigError,
+                       match=r"^unknown replacement policy 'x': expected 'l', 'f' or 'r'$"):
         parse_cache_spec("dl1:256:32:1:x")
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"config fidelity took {elapsed:.3f}s"

@@ -49,12 +49,13 @@ def test_eviction_reports_victim_tag_and_dirty():
 
 def test_matches_reference_model_lru_fifo():
     rng = random.Random(123)
-    for policy in ("l", "f"):
+    for policy in ("l", "f", "r"):
         for trial in range(30):
             nsets = rng.choice([1, 2, 4, 8])
-            assoc = rng.choice([1, 2, 4])
-            c = make_cache(nsets, 16, assoc, policy)
-            ref = RefCache(nsets, 16, assoc, policy)
+            assoc = rng.choice([1, 2, 4, 8])
+            seed = rng.choice([0, 1, 2**64, -1, rng.getrandbits(70)])
+            c = make_cache(nsets, 16, assoc, policy, seed)
+            ref = RefCache(nsets, 16, assoc, policy, seed)
             for _ in range(400):
                 addr = rng.randrange(nsets * 16 * assoc * 3)
                 write = rng.random() < 0.3

@@ -1,27 +1,25 @@
 import random
+import re
 
 import pytest
 
 from cachesim import (
     CacheSpec,
     ConfigError,
-    GeometryUnderflow,
+    Hierarchy,
     HierarchySpec,
-    InvalidUnification,
-    MissingKey,
-    NonNumeric,
-    NonNumericValue,
-    NonPowerOfTwo,
     ReplacementPolicy,
-    UnifiedWith,
-    UnknownFlag,
-    UnknownPolicy,
-    WrongFieldCount,
     parse_cache_spec,
     parse_hierarchy_args,
     parse_vex_cfg,
 )
 from cachesim.config import MAX_CACHE_LINES
+
+
+def raises(message):
+    """Expect a ConfigError whose message is exactly ``message``."""
+    return pytest.raises(ConfigError, match=f"^{re.escape(message)}$")
+
 
 VEX_CFG = """\
 CoreCkFreq      1000
@@ -83,34 +81,31 @@ def test_round_trip_random_specs():
 
 
 def test_wrong_field_count():
-    with pytest.raises(WrongFieldCount):
+    with raises("expected 5 colon-separated fields in 'dl1:256:32:1', got 4"):
         parse_cache_spec("dl1:256:32:1")
-    with pytest.raises(WrongFieldCount):
+    with raises("expected 5 colon-separated fields in 'dl1:256:32:1:l:x', got 6"):
         parse_cache_spec("dl1:256:32:1:l:x")
 
 
 def test_non_power_of_two_reports_field():
-    with pytest.raises(NonPowerOfTwo) as exc:
+    with raises("nsets must be a power of two >= 1, got 100"):
         parse_cache_spec("dl1:100:32:1:l")
-    assert exc.value.field == "nsets"
-    with pytest.raises(NonPowerOfTwo) as exc:
+    with raises("bsize must be a power of two >= 1, got 48"):
         parse_cache_spec("dl1:256:48:1:l")
-    assert exc.value.field == "bsize"
-    with pytest.raises(NonPowerOfTwo) as exc:
+    with raises("assoc must be a power of two >= 1, got 3"):
         parse_cache_spec("dl1:256:32:3:l")
-    assert exc.value.field == "assoc"
-    with pytest.raises(NonPowerOfTwo):
+    with raises("nsets must be a power of two >= 1, got 0"):
         parse_cache_spec("dl1:0:32:1:l")
 
 
 def test_unknown_policy():
-    with pytest.raises(UnknownPolicy):
+    with raises("unknown replacement policy 'x': expected 'l', 'f' or 'r'"):
         parse_cache_spec("dl1:256:32:1:x")
 
 
 def test_non_numeric_rejects_sloppy_integers():
     for bad in ("abc", "0x100", "1_0", "+256", "0256", ""):
-        with pytest.raises(NonNumeric):
+        with raises(f"nsets must be a plain decimal integer, got {bad!r}"):
             parse_cache_spec(f"dl1:{bad}:32:1:l")
 
 
@@ -135,50 +130,65 @@ def test_default_hierarchy_matches_explicit_strings():
         ]
     )
     assert spec == explicit
-    assert spec.il2 == UnifiedWith("dl2")
+    assert spec.il2 == "dl2"
     assert spec.flush_on_syscall is False
 
 
 def test_unified_l2_example():
     spec = parse_hierarchy_args(["-cache:il1", "il1:128:64:1:l", "-cache:il2", "dl2"])
     assert spec.il1 == CacheSpec("il1", 128, 64, 1, ReplacementPolicy.LRU)
-    assert spec.il2 == UnifiedWith("dl2")
+    assert spec.il2 == "dl2"
 
 
 def test_fully_unified_l1_example():
     spec = parse_hierarchy_args(
         ["-cache:dl1", "ul1:256:32:1:l", "-cache:il1", "dl1"]
     )
-    assert spec.il1 == UnifiedWith("dl1")
+    assert spec.il1 == "dl1"
     assert spec.dl1.name == "ul1"
+
+
+def test_spec_unifies_by_data_level_name():
+    dl1 = parse_cache_spec("dl1:4:32:1:l")
+    h = Hierarchy(HierarchySpec(il1="dl1", dl1=dl1))
+    assert h.i_path == h.d_path == [h.caches["dl1"]]
+    # A config string is not a level name: validate rejects it, and Hierarchy
+    # never builds from it.
+    for b in ("dl1:4:32:1:l", "none", "dl3"):
+        with raises(f"il1 takes a config string, 'none', 'dl1' or 'dl2', not {b!r}"):
+            HierarchySpec(il1=b, dl1=dl1).validate()
+        with raises(f"il1 takes a config string, 'none', 'dl1' or 'dl2', not {b!r}"):
+            Hierarchy(HierarchySpec(il1=b, dl1=dl1))
+    with raises("dl1 takes a config string or 'none', not 'dl1'"):
+        HierarchySpec(dl1="dl1").validate()
 
 
 def test_flush_flag():
     assert parse_hierarchy_args(["-flush", "true"]).flush_on_syscall is True
-    with pytest.raises(ConfigError):
+    with raises("-flush takes 'true' or 'false', got 'yes'"):
         parse_hierarchy_args(["-flush", "yes"])
 
 
 def test_invalid_unifications():
-    with pytest.raises(InvalidUnification):
+    with raises("-cache:dl1 takes a config string or 'none', not 'il1'"):
         parse_hierarchy_args(["-cache:dl1", "il1"])
-    with pytest.raises(InvalidUnification):
+    with raises("-cache:dl1 takes a config string or 'none', not 'dl2'"):
         parse_hierarchy_args(["-cache:dl1", "dl2"])
-    with pytest.raises(InvalidUnification):
+    with raises("-cache:il2 takes a config string, 'none' or 'dl2', not 'dl1'"):
         parse_hierarchy_args(["-cache:il2", "dl1"])
-    with pytest.raises(InvalidUnification):
+    with raises("-tlb:itlb takes a config string or 'none', not 'dl1'"):
         parse_hierarchy_args(["-tlb:itlb", "dl1"])
 
 
 def test_unknown_flag_and_missing_value():
-    with pytest.raises(UnknownFlag):
+    with raises("unknown flag '-cache:l3'"):
         parse_hierarchy_args(["-cache:l3", "x:1:1:1:l"])
-    with pytest.raises(ConfigError):
+    with raises("flag '-cache:dl1' is missing its value"):
         parse_hierarchy_args(["-cache:dl1"])
 
 
 def test_l2_requires_l1():
-    with pytest.raises(ConfigError):
+    with raises("dl2 is configured but dl1 is none"):
         parse_hierarchy_args(["-cache:dl1", "none"])
     with pytest.raises(ConfigError, match="^il2 is configured but il1 is none$"):
         parse_hierarchy_args(
@@ -198,7 +208,7 @@ def test_unification_to_disabled_level_degrades():
 
 
 def test_parse_errors_propagate_from_values():
-    with pytest.raises(NonPowerOfTwo):
+    with raises("nsets must be a power of two >= 1, got 100"):
         parse_hierarchy_args(["-cache:dl1", "dl1:100:32:1:l"])
 
 
@@ -241,21 +251,32 @@ def test_vex_recognized_unused_keys_are_silent(recwarn):
 
 def test_vex_missing_key():
     broken = VEX_CFG.replace("MissPenalty     36\n", "")
-    with pytest.raises(MissingKey) as exc:
+    with raises("required key 'MissPenalty' missing"):
         parse_vex_cfg(broken)
-    assert exc.value.key == "MissPenalty"
 
 
 def test_vex_non_numeric_value():
     broken = VEX_CFG.replace("MissPenalty     36", "MissPenalty many")
-    with pytest.raises(NonNumericValue, match="^line 6: ") as exc:
+    with raises("line 6: value for 'MissPenalty' must be an integer, got 'many'"):
         parse_vex_cfg(broken)
-    assert (exc.value.key, exc.value.text, exc.value.line_no) == ("MissPenalty", "many", 6)
+
+
+def test_vex_negative_value_names_key_and_line():
+    for key, line_no in (("MissPenalty", 6), ("WBPenalty", 7), ("ICachePenalty", 16),
+                         ("NumCaches", 17), ("BranchStall", 18), ("CoreCkFreq", 1)):
+        broken = re.sub(f"(?m)^{key} .*$", f"{key} -3", VEX_CFG)
+        with raises(f"line {line_no}: {key} out of range: -3"):
+            parse_vex_cfg(broken)
+    with raises("line 4: lg2Sets out of range: -1"):
+        parse_vex_cfg(VEX_CFG.replace("lg2Sets         2", "lg2Sets -1"))
+    with raises("line 4: lg2Sets out of range: 49"):
+        parse_vex_cfg(VEX_CFG.replace("lg2Sets         2", "lg2Sets 49"))
 
 
 def test_vex_geometry_underflow():
     broken = VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    5")
-    with pytest.raises(GeometryUnderflow, match="^line 3: lg2CacheSize: "):
+    with raises("line 3: lg2CacheSize: cache of 32 bytes cannot hold "
+                "4 ways of 32-byte lines"):
         parse_vex_cfg(broken)
 
 
@@ -300,9 +321,9 @@ def test_timing_validation():
     _, _, t = parse_vex_cfg(VEX_CFG)
     from dataclasses import replace
 
-    with pytest.raises(ConfigError):
+    with raises("need core_clk_mhz >= bus_clk_mhz > 0, got 1000/2000"):
         replace(t, bus_clk_mhz=2000).validate()
-    with pytest.raises(ConfigError):
+    with raises("miss_penalty must be >= 0"):
         replace(t, miss_penalty=-1).validate()
-    with pytest.raises(NonPowerOfTwo):
+    with raises("mem_width must be a power of two >= 1, got 3"):
         replace(t, mem_width=3).validate()

@@ -20,7 +20,7 @@ from cachesim import (
     write_trace_binary,
 )
 from cachesim.trace import decode_binary
-from reference import RefCache, RefHierarchy
+from reference import RefCache, RefHierarchy, cache_seed
 
 
 def build(args=(), seed=1):
@@ -533,13 +533,13 @@ def test_elapsed_time_uses_injected_clock():
 def _small_spec(name, bsizes):
     return st.builds(lambda *geom: ":".join(map(str, (name, *geom))),
                      st.sampled_from([1, 2, 4]), st.sampled_from(bsizes),
-                     st.sampled_from([1, 2]), st.sampled_from("lf"))
+                     st.sampled_from([1, 2, 4]), st.sampled_from("lfr"))
 
 
 @st.composite
 def _ref_flags(draw):
-    """Hierarchy flags over small LRU and FIFO caches: split, il1 unified
-    with dl1 or dl2, il2 unified or none, dl2 none, TLBs or none."""
+    """Hierarchy flags over small LRU, FIFO and random caches: split, il1
+    unified with dl1 or dl2, il2 unified or none, dl2 none, TLBs or none."""
     dl2 = draw(st.just("none") | _small_spec("ul2", [16, 32, 64]))
     il1 = draw(st.sampled_from(["dl1", "dl2", "none"]) | _small_spec("il1", [16, 32]))
     il2 = draw(st.sampled_from(["dl2", "none"]) |
@@ -573,10 +573,11 @@ def _ref_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans())
-def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush):
+@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans(),
+       seed=st.integers(-2, 2**64))
+def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush, seed):
     args = [x for flag_value in flags.items() for x in flag_value]
-    h = build(args + ["-flush", "true" if flush else "false"])
+    h = build(args + ["-flush", "true" if flush else "false"], seed)
     rep = h.run(rows, clock=lambda: 0.0)
 
     refs = {}
@@ -586,7 +587,8 @@ def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush):
         if ":" not in value:  # none, or the data level it is unified with
             return None if value == "none" else value
         name, nsets, bsize, assoc, policy = value.split(":")
-        refs[name] = RefCache(int(nsets), int(bsize), int(assoc), policy)
+        refs[name] = RefCache(int(nsets), int(bsize), int(assoc), policy,
+                              cache_seed(seed, name))
         return refs[name]
 
     model = RefHierarchy(*map(ref, ["-cache:dl1", "-cache:dl2", "-cache:il1",

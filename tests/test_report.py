@@ -15,7 +15,6 @@ from cachesim import (
     SimReport,
     SweepRow,
     TimingSpec,
-    UnsupportedFormat,
     account,
     export,
     inst,
@@ -275,7 +274,7 @@ def test_export_csv_flat_keys():
 
 
 def test_export_unsupported_format():
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(ValueError, match=r"^unsupported format 'xml': use 'csv' or 'json'$"):
         export(sample_sim_report(), "xml")
 
 

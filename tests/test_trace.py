@@ -162,6 +162,19 @@ def test_binary_truncation_detected():
         list(parse_trace_binary(data))
 
 
+def test_binary_branch_flag_is_0_or_1():
+    # As the text decoder rejects "B X", a branch flag other than 0 or 1 is an
+    # error naming the record, not a not-taken branch.
+    good = write_trace_binary([syscall(), branch(True), branch(False)])
+    assert list(parse_trace_binary(good)) == [syscall(), branch(True), branch(False)]
+    for val in (2, 7, 0xFFFF):
+        data = good[:-2] + val.to_bytes(2, "little")
+        for parse in (parse_trace_binary, reference.parse_trace_binary):
+            with pytest.raises(TraceSyntaxError,
+                               match=f"^trace line 3: bad branch flag {val}: must be 0 or 1$"):
+                list(parse(data))
+
+
 def test_binary_writer_refuses_what_ctb_cannot_hold():
     # The 2-byte field holds a size, an op count or a name length up to 65,535.
     longest = "n" * 0xFFFF
