@@ -8,6 +8,9 @@ The ``sim`` subcommand keeps the classic single-dash flag vocabulary
 style.  When any of the memory-timing flags is given, ``sim`` appends a
 cycle-accounting summary whose per-side miss penalties are the main-memory
 latency of one block transfer at that side's memory-boundary cache.
+
+Each command imports the layers it runs, so ``sweep`` loads no hierarchy,
+cache or timing module and ``sim``/``vexsim`` no stack module.
 """
 
 import math
@@ -24,18 +27,8 @@ from .config import (
     parse_hierarchy_args,
     parse_vex_cfg,
 )
-from .hierarchy import TOTAL_REGION, Hierarchy
-from .report import (
-    export,
-    render_region_profile,
-    render_simcache,
-    render_sweep_table,
-    render_vex_summary,
-)
-from .sweep import sweep
-from .timing import account, main_memory_latency
-from .trace import TraceSyntaxError, gen_loop, gen_random, gen_sequential, read_rows, \
-    write_trace, write_trace_path
+from .trace import TOTAL_REGION, TraceSyntaxError, gen_loop, gen_random, gen_sequential, \
+    read_rows, write_trace, write_trace_path
 
 USAGE = """\
 usage: cachesim <command> [options]
@@ -231,6 +224,9 @@ def _simulate(h, t, opts, trace_path, simcache):
     it is given, and emit the report.  Text output leads with the classic
     statistics when ``simcache`` is set, then the cycle summary and, for a
     trace with named regions, the region profile."""
+    from .report import export, render_region_profile, render_simcache, render_vex_summary
+    from .timing import account
+
     report = h.run(read_rows(trace_path), collect_events=t is not None,
                    clock=_make_clock(opts.get("clock")))
     cycles = None
@@ -257,6 +253,9 @@ def _cmd_sim(args) -> int:
     opts, (trace_path,) = _parse(
         args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
         ("<trace>",))
+    from .hierarchy import Hierarchy
+    from .timing import main_memory_latency
+
     given = {k: opts[k] for k in ("mem_width", "tlb_lat") if k in opts}
     if "mem_lat" in opts:
         given["mem_lat_first"], given["mem_lat_next"] = opts["mem_lat"]
@@ -282,6 +281,8 @@ def _cmd_sim(args) -> int:
 
 def _cmd_vexsim(args) -> int:
     opts, (cfg_path, trace_path) = _parse(args, _RUN_FLAGS, ("<vex.cfg>", "<trace>"))
+    from .hierarchy import Hierarchy
+
     with open(cfg_path, "rb") as fh:
         data = fh.read()
     try:
@@ -307,6 +308,9 @@ def _cmd_vexsim(args) -> int:
 def _cmd_sweep(args) -> int:
     opts, (trace_path,) = _parse(
         args, ("--sets", "--bsize", "--assoc", "--opt", "--format", "--out"), ("<trace>",))
+    from .report import export, render_sweep_table
+    from .stack import sweep
+
     sets, bsizes, assocs = (opts.get(k) for k in ("sets", "bsizes", "assocs"))
     if not sets or not bsizes or not assocs:
         raise _UsageError("sweep needs --sets, --bsize and --assoc")

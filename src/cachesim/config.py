@@ -336,6 +336,12 @@ def parse_vex_cfg(text):
         kv[key] = (value, line_no)
 
     dcache, icache = (_vex_geometry(kv, name, *keys) for name, keys in _VEX_GEOMETRY.items())
-    timing = TimingSpec(**{f: _vex_int(kv, key, default)
-                           for key, (f, default) in _VEX_TIMING.items()}).validate()
+    values = {f: _vex_int(kv, key, default) for key, (f, default) in _VEX_TIMING.items()}
+    core, bus = values["core_clk_mhz"], values["bus_clk_mhz"]
+    if bus == 0:
+        raise ConfigError(f"line {kv['BusCkFreq'][1]}: need BusCkFreq > 0, got 0")
+    if core < bus:
+        raise ConfigError(f"line {kv['CoreCkFreq'][1]}: need CoreCkFreq >= BusCkFreq "
+                          f"(line {kv['BusCkFreq'][1]}), got {core} < {bus}")
+    timing = TimingSpec(**values).validate()
     return dcache, icache, timing

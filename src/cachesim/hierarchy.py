@@ -57,8 +57,7 @@ from dataclasses import dataclass, field
 from .cache import HIT, MISS_REPLACE_DIRTY, Cache, CacheStats
 from .config import HierarchySpec
 from .timing import TimingEvent
-
-TOTAL_REGION = "TOTAL"
+from .trace import TOTAL_REGION
 
 
 @dataclass

@@ -13,16 +13,10 @@ package reproduces are used as golden anchors in tests; negative zero is
 never rendered.
 """
 
-import csv
-import io
-import json
 from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 
-from .config import TimingSpec
-from .hierarchy import TOTAL_REGION, SimReport
-from .sweep import SweepRow
-from .timing import CycleReport
+from .trace import TOTAL_REGION
 
 
 def fixed(value, places):
@@ -59,8 +53,9 @@ def _stat_line(key, value, desc):
     return f"{key:<17} {value} # {desc}"
 
 
-def render_simcache(report: SimReport) -> str:
-    """Per-counter statistics text; byte-stable for identical reports."""
+def render_simcache(report) -> str:
+    """Per-counter statistics text of a SimReport; byte-stable for
+    identical reports."""
     lines = ["sim: ** simulation statistics **"]
     lines.append(_stat_line("sim_num_insn", report.sim_num_insn,
                             "total number of instructions executed"))
@@ -109,8 +104,9 @@ def _mem_block(title, rep, show_access_pct):
             share("  Due to Bus Conflicts:", rep.stall_bus_conflict, st)]
 
 
-def render_vex_summary(report: CycleReport, core_clk_mhz=None) -> str:
-    """Cycle accounting summary in the single-level simulator's shape."""
+def render_vex_summary(report, core_clk_mhz=None) -> str:
+    """Cycle accounting summary of a CycleReport in the single-level
+    simulator's shape."""
     total = report.total_cycles
     ops = report.executed_operations
     insts = report.execution_cycles
@@ -143,10 +139,11 @@ def render_vex_summary(report: CycleReport, core_clk_mhz=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_region_profile(report: SimReport, t: TimingSpec) -> str:
-    """Flat profile: per-region cycles attributed to instructions, data-side
-    misses, instruction-side misses and taken branches, with percentages
-    against the TOTAL region.  Rows sort by total cycles descending."""
+def render_region_profile(report, t) -> str:
+    """Flat profile of a SimReport under TimingSpec ``t``: per-region
+    cycles attributed to instructions, data-side misses, instruction-side
+    misses and taken branches, with percentages against the TOTAL region.
+    Rows sort by total cycles descending."""
     totals = report.regions[TOTAL_REGION]
     named = {n: r for n, r in report.regions.items() if n != TOTAL_REGION}
     rows_src = named if named else {TOTAL_REGION: totals}
@@ -184,6 +181,9 @@ def _flatten(prefix, value, out):
 
 
 def _csv(rows):
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -216,18 +216,28 @@ def export(obj, fmt: str) -> str:
     the table ``render_sweep_table`` prints, one row per line."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unsupported format {fmt!r}: use 'csv' or 'json'")
-    if isinstance(obj, (SimReport, CycleReport)):
-        d = asdict(obj)
-    elif isinstance(obj, dict) and all(isinstance(r, (SimReport, CycleReport))
-                                       for r in obj.values()):
-        d = {name: asdict(r) for name, r in obj.items()}
-    elif isinstance(obj, list) and all(isinstance(r, SweepRow) for r in obj):
-        if fmt == "csv":
-            return _csv(_sweep_rows(obj, repr))
-        d = [{k: v for k, v in asdict(r).items() if v is not None} for r in obj]
+    d = None
+    if isinstance(obj, list):  # each branch loads only the classes it tests
+        from .stack import SweepRow
+
+        if all(isinstance(r, SweepRow) for r in obj):
+            if fmt == "csv":
+                return _csv(_sweep_rows(obj, repr))
+            d = [{k: v for k, v in asdict(r).items() if v is not None} for r in obj]
     else:
+        from .hierarchy import SimReport
+        from .timing import CycleReport
+
+        if isinstance(obj, (SimReport, CycleReport)):
+            d = asdict(obj)
+        elif isinstance(obj, dict) and all(isinstance(r, (SimReport, CycleReport))
+                                           for r in obj.values()):
+            d = {name: asdict(r) for name, r in obj.items()}
+    if d is None:
         raise TypeError(f"cannot export object of type {type(obj).__name__}")
     if fmt == "json":
+        import json
+
         return json.dumps(d, indent=2) + "\n"
     rows = [("key", "value")]
     _flatten("", d, rows)

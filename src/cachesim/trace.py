@@ -34,11 +34,11 @@ TraceRecords; ``read_rows`` opens a file of either format as rows.
 """
 
 import io
-import random
 import struct
 from functools import partial
 
 MAX_ADDR = 2**64 - 1
+TOTAL_REGION = "TOTAL"  # the region of the whole run; ``R TOTAL`` ends a named one
 _ADDR_END = MAX_ADDR + 1  # an access of size s at a fits when a + s <= _ADDR_END
 
 _KINDS = "ILSBYR"  # kind letter by code
@@ -377,5 +377,7 @@ def gen_random(seed, base, range_bytes, count):
         raise ValueError("range_bytes must be >= 1")
     if count < 0:
         raise ValueError("count must be >= 0")
+    import random
+
     rng = random.Random(seed)
     return [load(base + rng.randrange(range_bytes), 1) for _ in range(count)]

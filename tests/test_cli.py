@@ -210,6 +210,9 @@ def test_vexsim_bad_cfg_exits_2(capsys, tmp_path, trace_file):
      "{p}: cache 'dcache' has 8589934592 sets x 4 ways, over the limit of 1048576 lines"),
     ("lg2CacheSize    16", "lg2CacheSize    5",
      "{p} line 3: lg2CacheSize: cache of 32 bytes cannot hold 4 ways of 32-byte lines"),
+    ("CoreCkFreq      1000", "CoreCkFreq 0",
+     "{p} line 1: need CoreCkFreq >= BusCkFreq (line 2), got 0 < 500"),
+    ("BusCkFreq       500", "BusCkFreq 0", "{p} line 2: need BusCkFreq > 0, got 0"),
 ])
 def test_vexsim_cfg_errors_name_the_file(capsys, tmp_path, trace_file, old, new, message):
     p = tmp_path / "vex.cfg"

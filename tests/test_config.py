@@ -273,6 +273,20 @@ def test_vex_negative_value_names_key_and_line():
         parse_vex_cfg(VEX_CFG.replace("lg2Sets         2", "lg2Sets 49"))
 
 
+def test_vex_clock_errors_name_keys_and_lines():
+    with raises("line 1: need CoreCkFreq >= BusCkFreq (line 2), got 0 < 500"):
+        parse_vex_cfg(VEX_CFG.replace("CoreCkFreq      1000", "CoreCkFreq 0"))
+    with raises("line 1: need CoreCkFreq >= BusCkFreq (line 2), got 1000 < 2000"):
+        parse_vex_cfg(VEX_CFG.replace("BusCkFreq       500", "BusCkFreq 2000"))
+    with raises("line 2: need BusCkFreq > 0, got 0"):
+        parse_vex_cfg(VEX_CFG.replace("BusCkFreq       500", "BusCkFreq 0"))
+    moved = VEX_CFG.replace("BusCkFreq       500\n", "") + "BusCkFreq 0\n"
+    with raises(f"line {moved.count(chr(10))}: need BusCkFreq > 0, got 0"):
+        parse_vex_cfg(moved)
+    _, _, t = parse_vex_cfg(VEX_CFG.replace("BusCkFreq       500", "BusCkFreq 1000"))
+    assert (t.core_clk_mhz, t.bus_clk_mhz) == (1000, 1000)
+
+
 def test_vex_geometry_underflow():
     broken = VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    5")
     with raises("line 3: lg2CacheSize: cache of 32 bytes cannot hold "
