@@ -30,10 +30,11 @@ forwarded into each lower cache (refills and writebacks separately), so
 The walk settles the commonest reference in place.  Most references touch
 the block their cache touched just before, so at the walk's entry (each
 TLB and the first cache of each path) a single-block reference whose
-block equals that cache's ``_last`` counts as a hit with no call: one more
-hit and entry access, one more boundary access and hit when that cache is
-the memory boundary, and a store adds the block to the cache's
-``_dirty``.  This is exact.
+block equals that cache's ``_last`` counts as a hit with no call: a store
+adds the block to the cache's ``_dirty``, and the walk credits the hits,
+counted in locals, as hits, entry accesses and (at the memory boundary)
+boundary accesses and hits before each region snapshot, their only reader
+mid-walk, and when it returns or raises.  This is exact.
 Only an access to the cache, or a flush, changes what it holds; every
 access sets ``_last``, a flush clears it, and the hierarchy never
 back-invalidates, so the block is still resident.  A unified level is one
@@ -235,69 +236,92 @@ class Hierarchy:
             block += 1
 
     def _walk(self, records):
-        """The one loop behind run and step: fold trace rows into the
-        counters, settling a repeat of an entry cache's last block in place
-        (see the module docstring) except while step() logs."""
+        """The one loop behind run and step: fold trace rows into counters
+        held in locals until each region snapshot and the loop's end, settling
+        a repeat of an entry cache's last block in place unless step() logs."""
         itlb, dtlb = self.itlb, self.dtlb
         i_entry, d_entry = self._i_entry, self._d_entry
+        ic, dc = (e and e[0] for e in (i_entry, d_entry))
+        it_shift, dt_shift, ic_shift, dc_shift = (c and c._bshift for c in (itlb, dtlb, ic, dc))
+        # (cache, its side's mem_counts row at the memory boundary) per batch
+        batched = ((ic, i_entry and i_entry[3]), (dc, d_entry and d_entry[3]),
+                   (itlb, None), (dtlb, None))
         entry_accesses = self.entry_accesses
         access_level = self._access_level
         log = self._log
         in_place = log is None
-        for code, addr, arg in records:
-            if code == 0:  # I: arg is the op count
-                at = self.sim_num_insn
-                self.sim_num_insn += 1
-                self.ops_executed += arg
-                tlb, entry, size, write = itlb, i_entry, 1, False
-            elif code == 1 or code == 2:  # L, S: arg is the size
-                at = self.sim_num_insn
-                self.sim_num_refs += 1
-                tlb, entry, size, write = dtlb, d_entry, arg, code == 2
-            elif code == 3:  # B: arg is the taken flag
-                if arg:
-                    self.taken_branches += 1
+        rows = iter(records)
+        while True:  # the walk resumes here after each region marker
+            insn, ops, refs = self.sim_num_insn, self.ops_executed, self.sim_num_refs
+            taken, not_taken = self.taken_branches, self.not_taken_branches
+            i_hits = d_hits = it_hits = dt_hits = 0
+            try:
+                for code, addr, arg in rows:
+                    if code == 0:  # I: arg is the op count
+                        insn += 1
+                        ops += arg
+                        if itlb is not None:
+                            if (page := addr >> it_shift) == itlb._last and in_place:
+                                it_hits += 1
+                            else:
+                                entry_accesses[itlb.name] += 1
+                                result = itlb._access(page, False)
+                                if log is not None:
+                                    log.append((itlb.name, itlb.outcome(result)))
+                        if ic is not None:
+                            if addr >> ic_shift == ic._last and in_place:
+                                i_hits += 1
+                            else:
+                                entry_accesses[ic.name] += access_level(
+                                    i_entry, addr, 1, False, insn - 1)
+                    elif code == 1 or code == 2:  # L, S: arg is the size
+                        refs += 1
+                        if dtlb is not None:
+                            if (page := addr >> dt_shift) == dtlb._last and in_place:
+                                dt_hits += 1
+                            else:
+                                entry_accesses[dtlb.name] += 1
+                                result = dtlb._access(page, False)
+                                if log is not None:
+                                    log.append((dtlb.name, dtlb.outcome(result)))
+                        if dc is not None:
+                            if ((block := addr >> dc_shift) == dc._last and in_place and arg > 0
+                                    and (addr + arg - 1) >> dc_shift == block):
+                                d_hits += 1
+                                if code == 2:
+                                    dc._dirty.add(block)
+                            else:
+                                entry_accesses[dc.name] += access_level(
+                                    d_entry, addr, arg, code == 2, insn)
+                    elif code == 3:  # B: arg is the taken flag
+                        if arg:
+                            taken += 1
+                        else:
+                            not_taken += 1
+                    elif code == 4:  # Y
+                        if self.flush_on_syscall:
+                            for c in self.caches.values():
+                                c.flush()
+                    elif code == 5:  # R: arg is the region name
+                        break
+                    else:
+                        raise ValueError(f"unknown trace record kind code {code!r}")
                 else:
-                    self.not_taken_branches += 1
-                continue
-            elif code == 4:  # Y
-                if self.flush_on_syscall:
-                    for c in self.caches.values():
-                        c.flush()
-                continue
-            elif code == 5:  # R: arg is the region name
-                self._credit()
-                self.current_region = arg
-                if arg != TOTAL_REGION:
-                    self._regions.setdefault(arg, [0] * len(self._mark))
-                continue
-            else:
-                raise ValueError(f"unknown trace record kind code {code!r}")
-            # The TLB -> L1 entry both access kinds share.
-            if tlb is not None:
-                entry_accesses[tlb.name] += 1
-                page = addr >> tlb._bshift
-                if in_place and page == tlb._last:
-                    tlb.hits += 1
-                else:
-                    result = tlb._access(page, False)
-                    if log is not None:
-                        log.append((tlb.name, tlb.outcome(result)))
-            if entry is not None:
-                c = entry[0]
-                block = addr >> c._bshift
-                if (in_place and block == c._last and size > 0
-                        and (addr + size - 1) >> c._bshift == block):
-                    c.hits += 1
-                    entry_accesses[c.name] += 1
-                    if write:
-                        c._dirty.add(block)
-                    mc = entry[3]
-                    if mc is not None:  # memory boundary
-                        mc[0] += 1
-                        mc[1] += 1
-                else:
-                    entry_accesses[c.name] += access_level(entry, addr, size, write, at)
+                    return
+            finally:
+                self.sim_num_insn, self.ops_executed, self.sim_num_refs = insn, ops, refs
+                self.taken_branches, self.not_taken_branches = taken, not_taken
+                for (c, mc), n in zip(batched, (i_hits, d_hits, it_hits, dt_hits)):
+                    if n:
+                        c.hits += n
+                        entry_accesses[c.name] += n
+                        if mc is not None:  # memory boundary
+                            mc[0] += n
+                            mc[1] += n
+            self._credit()
+            self.current_region = arg
+            if arg != TOTAL_REGION:
+                self._regions.setdefault(arg, [0] * len(self._mark))
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]

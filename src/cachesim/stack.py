@@ -26,7 +26,11 @@ def block_refs(records, bsize):
     """Yield the block-number stream of a trace's data references."""
     for code, addr, size in records:
         if code == 1 or code == 2:  # L, S
-            yield from range(addr // bsize, (addr + size - 1) // bsize + 1)
+            first, last = addr // bsize, (addr + size - 1) // bsize
+            if first == last:
+                yield first
+            else:
+                yield from range(first, last + 1)
 
 
 @dataclass

@@ -30,12 +30,14 @@ after each region name, carries a partial record over to the next chunk
 and reads the rest of a name that runs past its chunk from the file, so
 its memory is one chunk and one name, not the file.  ``parse_trace``,
 ``parse_trace_binary`` and ``read_trace_path`` wrap them to yield
-TraceRecords; ``read_rows`` opens a file of either format as rows.
+TraceRecords; ``read_rows`` opens a file of either format as rows,
+holding it open from the first row asked for to the last, or until dropped.
 """
 
 import io
 import struct
 from functools import partial
+from itertools import chain
 
 MAX_ADDR = 2**64 - 1
 TOTAL_REGION = "TOTAL"  # the region of the whole run; ``R TOTAL`` ends a named one
@@ -317,13 +319,13 @@ def parse_trace_binary(data):
 
 
 def read_rows(path):
-    """Yield the rows of a .ct or .ctb trace file, holding it open until
-    the last row (or an error) is reached."""
-    with open(path, "rb") as fh:
-        if str(path).endswith(".ctb"):
-            yield from decode_binary(fh)
-        else:
-            yield from decode_text(_utf8_lines(fh))
+    """The rows of a .ct or .ctb trace file, passed on by ``chain`` with no
+    Python frame per row.  The file opens at the first row (a missing file
+    raises there) and closes after the last, or when the iterator is dropped."""
+    def opened():
+        with open(path, "rb") as fh:
+            yield decode_binary(fh) if str(path).endswith(".ctb") else decode_text(_utf8_lines(fh))
+    return chain.from_iterable(opened())
 
 
 def read_trace_path(path):

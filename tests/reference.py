@@ -123,7 +123,13 @@ class RefHierarchy:
     level is absent.  Each reference looks up its side's TLB, then walks
     its path: a miss refills from the next level, then a dirty victim is
     written to it, and the deepest cache of a side is its memory boundary.
-    Fed plain rows ``(code, addr, arg)``.
+    Fed plain rows ``(code, addr, arg)``; region rows are ignored.
+
+    ``events`` lists one bus transaction ``(kind, at, size)`` per memory-
+    boundary miss ("imiss" or "dmiss" by side) and per dirty eviction there
+    ("writeback", after the miss that caused it), in walk order; ``at`` is
+    the number of instructions fetched before the record began and ``size``
+    the boundary cache's block size.  ``ops`` sums the fetches' op counts.
     """
 
     def __init__(self, dl1, dl2=None, il1=None, il2=None, itlb=None, dtlb=None,
@@ -144,10 +150,11 @@ class RefHierarchy:
         self.caches = list({id(c): c for c in (itlb, dtlb, *self.i_path, *self.d_path)
                             if c is not None}.values())
         self.mem = {"I": [0, 0, 0], "D": [0, 0, 0]}  # accesses, hits, misses
-        self.insts = self.refs = 0
+        self.insts = self.refs = self.ops = 0
         self.branches = [0, 0, 0]  # executed, taken, not taken
+        self.events = []
 
-    def _walk(self, path, side, addr, size, write):
+    def _walk(self, path, side, addr, size, write, at):
         c = path[0]
         first = addr // c.bsize
         last = max(first, (addr + size - 1) // c.bsize)  # size <= 0: one block
@@ -157,26 +164,32 @@ class RefHierarchy:
                 m = self.mem[side]
                 m[0] += 1
                 m[1 if outcome == "hit" else 2] += 1
+                if outcome == "miss":
+                    self.events.append((side.lower() + "miss", at, c.bsize))
+                if dirty:
+                    self.events.append(("writeback", at, c.bsize))
             elif outcome == "miss":
-                self._walk(path[1:], side, b * c.bsize, c.bsize, False)
+                self._walk(path[1:], side, b * c.bsize, c.bsize, False, at)
                 if dirty:
                     victim_block = victim * c.nsets + b % c.nsets
-                    self._walk(path[1:], side, victim_block * c.bsize, c.bsize, True)
+                    self._walk(path[1:], side, victim_block * c.bsize, c.bsize, True, at)
 
     def feed(self, rows):
         for code, addr, arg in rows:
+            at = self.insts
             if code == 0:
                 self.insts += 1
+                self.ops += arg
                 if self.itlb is not None:
                     self.itlb.access(addr)
                 if self.i_path:
-                    self._walk(self.i_path, "I", addr, 1, False)
+                    self._walk(self.i_path, "I", addr, 1, False, at)
             elif code in (1, 2):
                 self.refs += 1
                 if self.dtlb is not None:
                     self.dtlb.access(addr)
                 if self.d_path:
-                    self._walk(self.d_path, "D", addr, arg, code == 2)
+                    self._walk(self.d_path, "D", addr, arg, code == 2, at)
             elif code == 3:
                 self.branches[0] += 1
                 self.branches[1 if arg else 2] += 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cachesim import (
     Hierarchy,
     HierarchySpec,
+    TraceSyntaxError,
     branch,
     inst,
     load,
@@ -451,6 +452,33 @@ def test_run_settles_repeat_blocks_as_steps_do(rows, args, flush, seed):
         assert c.accesses == by_run.entry_accesses[name] + refills + wbs, name
 
 
+def _counters(h):
+    """Every counter a walk adds to, per cache and for the hierarchy."""
+    return ({n: (c.hits, c.misses, c.replacements, c.writebacks, c.invalidations)
+             for n, c in h.caches.items()},
+            h.entry_accesses, h.routed, h.mem_counts, h.events,
+            (h.sim_num_insn, h.sim_num_refs, h.ops_executed),
+            (h.taken_branches, h.not_taken_branches))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_dense_trace(), args=st.sampled_from(DENSE_CONFIGS), flush=st.booleans())
+def test_a_walk_stopped_by_an_error_counts_the_rows_before_it(rows, args, flush):
+    # The walk batches counters in locals; an error raised by the trace
+    # still leaves every counter as a run over the rows before it would.
+    args = args + ["-flush", "true"] if flush else args
+
+    def failing():
+        yield from rows
+        raise TraceSyntaxError(len(rows) + 1, "bad record")
+
+    stopped, prefix = build(args), build(args)
+    with pytest.raises(TraceSyntaxError):
+        stopped.run(failing(), collect_events=True, clock=lambda: 0.0)
+    prefix.run(rows, collect_events=True, clock=lambda: 0.0)
+    assert _counters(stopped) == _counters(prefix)
+
+
 def test_store_settled_in_place_marks_the_line_dirty():
     # Direct-mapped dl1 of 4 sets x 32 B: b = a + 128 maps to a's set.
     # S a hits a's block in place; L b must still evict a dirty line.
@@ -557,16 +585,19 @@ def _ref_flags(draw):
 @st.composite
 def _ref_rows(draw):
     """Bursts of fetches, loads and stores at a 4-byte stride (sizes up to
-    40 span blocks; sizes of 0 or less touch one), branches and syscalls."""
+    40 span blocks; sizes of 0 or less touch one), branches, syscalls and
+    region markers."""
     rows = []
     for _ in range(draw(st.integers(0, 30))):
-        code = draw(st.integers(0, 4))
+        code = draw(st.integers(0, 5))
         addr = draw(st.integers(0, 1023))
         for i in range(draw(st.integers(1, 4))):
             if code == 0:
                 rows.append((0, addr + 4 * i, draw(st.integers(1, 3))))
             elif code in (1, 2):
                 rows.append((code, addr + 4 * i, draw(st.integers(-1, 40))))
+            elif code == 5:
+                rows.append((5, 0, draw(st.sampled_from(["r0", "r1", "TOTAL"]))))
             else:
                 rows.append((code, 0, int(code == 3 and draw(st.booleans()))))
     return rows
@@ -578,7 +609,7 @@ def _ref_rows(draw):
 def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush, seed):
     args = [x for flag_value in flags.items() for x in flag_value]
     h = build(args + ["-flush", "true" if flush else "false"], seed)
-    rep = h.run(rows, clock=lambda: 0.0)
+    rep = h.run(rows, collect_events=True, clock=lambda: 0.0)
 
     refs = {}
 
@@ -602,6 +633,8 @@ def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush, seed):
     assert {n: counts(c) for n, c in h.caches.items()} == \
         {n: counts(c) for n, c in refs.items()}
     assert h.mem_counts == model.mem
-    assert (h.sim_num_insn, h.sim_num_refs) == (model.insts, model.refs)
+    assert (h.sim_num_insn, h.sim_num_refs, h.ops_executed) == \
+        (model.insts, model.refs, model.ops)
     b = rep.branches
     assert [b.executed, b.taken, b.not_taken] == model.branches
+    assert [(e.kind, e.at, e.size) for e in h.events] == model.events

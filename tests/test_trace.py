@@ -112,6 +112,45 @@ def test_non_utf8_text_trace_names_its_line(tmp_path):
     assert "UTF-8" in exc.value.reason
 
 
+@pytest.mark.parametrize("ext", [".ct", ".ctb"])
+def test_read_rows_holds_its_file_open_only_while_rows_are_read(tmp_path, monkeypatch, ext):
+    records = [load(0x40 * i, 4) for i in range(3)]
+    good, bad = tmp_path / f"t{ext}", tmp_path / f"bad{ext}"
+    if ext == ".ct":
+        good.write_text(write_trace(records))
+        bad.write_bytes(b"I 0\nB X\n")
+    else:
+        good.write_bytes(write_trace_binary(records))
+        bad.write_bytes(write_trace_binary(records)[:-3])  # a truncated record
+    opened = []
+
+    def spy(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(trace, "open", spy, raising=False)
+    rows = read_rows(good)
+    del rows  # dropped unstarted
+    rows = read_rows(good)
+    assert opened == []  # nothing opens before the first row
+    assert next(rows) == records[0]
+    assert len(opened) == 1 and not opened[0].closed
+    del rows  # dropped mid-way
+    assert opened[0].closed
+    rows = read_rows(good)
+    assert list(rows) == records and opened[1].closed  # closed at the end
+    rows = read_rows(bad)
+    with pytest.raises(TraceSyntaxError):
+        list(rows)
+    del rows
+    assert opened[2].closed
+    rows = read_rows(tmp_path / f"missing{ext}")
+    with pytest.raises(FileNotFoundError, match="missing"):
+        next(rows)
+    assert len(opened) == 3
+
+
 def test_write_trace_examples():
     assert write_trace([inst(0x400000, 1)]) == "I 400000\n"
     assert write_trace([region("main")]) == "R main\n"
