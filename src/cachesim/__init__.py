@@ -24,7 +24,7 @@ _MODULES = {
     "stack": ("DistanceHistogram", "SweepRow", "belady_misses", "block_refs",
               "misses_for_assoc", "stack_distances", "sweep"),
     "timing": ("BranchReport", "CycleReport", "InconsistentCounts", "MemSideReport",
-               "TimingEvent", "account", "main_memory_latency"),
+               "account", "main_memory_latency"),
     "trace": ("TOTAL_REGION", "TraceRecord", "TraceSyntaxError", "branch", "gen_loop",
               "gen_random", "gen_sequential", "inst", "load", "parse_trace",
               "parse_trace_binary", "read_trace_path", "region", "store", "syscall",

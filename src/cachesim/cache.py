@@ -85,7 +85,7 @@ class Cache:
     __slots__ = (
         "name", "nsets", "bsize", "assoc",
         "_bshift", "_smask", "_tshift",
-        "_sets", "_dirty", "_lru", "_rand", "_rng",
+        "_sets", "_filled", "_dirty", "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
         "victim", "_last",
     )
@@ -101,6 +101,7 @@ class Cache:
         self._smask = spec.nsets - 1
         self._tshift = spec.nsets.bit_length() - 1
         self._sets = [[] for _ in range(spec.nsets)]
+        self._filled = []  # the set lists a fill made non-empty since the last flush
         self._dirty = set()
         self._lru = spec.repl is ReplacementPolicy.LRU
         self._rand = spec.repl is ReplacementPolicy.RANDOM
@@ -139,6 +140,8 @@ class Cache:
             return HIT
         self.misses += 1
         if len(blocks) < self.assoc:
+            if not blocks:
+                self._filled.append(blocks)
             blocks.append(block)
             return MISS_FILL
         self.replacements += 1
@@ -176,10 +179,12 @@ class Cache:
 
     def flush(self):
         """Write back every dirty line, invalidate every valid line; the
-        writebacks and invalidations counters grow by the lines affected."""
-        self.invalidations += sum(map(len, self._sets))
+        writebacks and invalidations counters grow by the lines affected.
+        Only the sets filled since the last flush are visited."""
+        self.invalidations += sum(map(len, self._filled))
         self.writebacks += len(self._dirty)
-        for blocks in self._sets:
+        for blocks in self._filled:
             blocks.clear()
+        self._filled.clear()
         self._dirty.clear()
         self._last = None

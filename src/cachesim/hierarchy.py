@@ -27,28 +27,32 @@ Per-level "routed" counters record exactly how many accesses were
 forwarded into each lower cache (refills and writebacks separately), so
 `l2.accesses == routed refills + routed writebacks` is checkable.
 
-The walk settles the commonest reference in place.  Most references touch
-the block their cache touched just before, so at the walk's entry (each
-TLB and the first cache of each path) a single-block reference whose
-block equals that cache's ``_last`` counts as a hit with no call: a store
-adds the block to the cache's ``_dirty``, and the walk credits the hits,
-counted in locals, as hits, entry accesses and (at the memory boundary)
-boundary accesses and hits before each region snapshot, their only reader
-mid-walk, and when it returns or raises.  This is exact.
+One routine makes every access, down a linked path of level descriptors;
+a TLB is a one-level path with no memory boundary.  The walk settles the
+commonest reference in place.  Most references touch the block their
+cache touched just before, so at the walk's entry (each TLB and the first
+cache of each path) a single-block reference whose block equals that
+cache's ``_last`` counts as a hit with no call: a store adds the block to
+the cache's ``_dirty``, and the walk credits the hits, counted in locals,
+as hits, entry accesses and (at the memory boundary) boundary accesses
+and hits before each region snapshot, their only reader mid-walk, and
+when it returns or raises.  This is exact.
 Only an access to the cache, or a flush, changes what it holds; every
 access sets ``_last``, a flush clears it, and the hierarchy never
 back-invalidates, so the block is still resident.  A unified level is one
 Cache object with one ``_last``.  Under LRU the last-touched block is the
 newest entry of its LRU list, so touching it again leaves every set's
 order unchanged; FIFO and random change nothing on a hit.  Spans over
-more than one block, rows of size 0 or less, misses, L2 accesses and all
-of ``step()`` take the general path.
+more than one block, rows of size 0 or less, misses and L2 accesses take
+the general path, and so does all of ``step()``, which clears the entry
+caches' ``_last`` before its record so that it logs every access.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
-event collection is on, one TimingEvent per bus transaction (boundary
-miss or dirty eviction), stamped with ``sim_num_insn`` as it stood when
-its record began.  Branches are counted, taken and not taken, not logged.
+event collection is on, one ``(kind, at, size)`` tuple per bus
+transaction (boundary miss or dirty eviction), ``at`` being
+``sim_num_insn`` as it stood when its record began.  Branches are
+counted, taken and not taken, not logged.
 """
 
 import time
@@ -57,7 +61,6 @@ from dataclasses import dataclass, field
 
 from .cache import HIT, MISS_REPLACE_DIRTY, Cache, CacheStats
 from .config import HierarchySpec
-from .timing import TimingEvent
 from .trace import TOTAL_REGION
 
 
@@ -145,25 +148,28 @@ class Hierarchy:
         # Linked level descriptors (cache, next descriptor, next's routed
         # counters, side's mem_counts row, miss event kind) keep the walk
         # free of list indexing and of the side; only the memory boundary
-        # (next None) has the row and the kind.
-        def levels(path, side, miss_kind):
+        # (next None) has the row and the kind; a TLB is a one-level path
+        # with neither.
+        def levels(path, row, miss_kind):
             desc = None
             for c in reversed(path):
                 if desc is None:
-                    desc = (c, None, None, self.mem_counts[side], miss_kind)
+                    desc = (c, None, None, row, miss_kind)
                 else:
                     desc = (c, desc, self.routed[desc[0].name], None, None)
             return desc
 
-        self._i_entry = levels(self.i_path, "I", "imiss")
-        self._d_entry = levels(self.d_path, "D", "dmiss")
+        # The entry descriptors: i and d paths, then itlb and dtlb.
+        self._entries = (levels(self.i_path, self.mem_counts["I"], "imiss"),
+                         levels(self.d_path, self.mem_counts["D"], "dmiss"),
+                         *(c and (c, None, None, None, None) for c in (self.itlb, self.dtlb)))
 
         self.sim_num_insn = 0
         self.sim_num_refs = 0
         self.ops_executed = 0
         self.taken_branches = 0
         self.not_taken_branches = 0
-        self.events = None  # bus TimingEvents, a list when collection is on
+        self.events = None  # (kind, at, size) bus transactions when collection is on
         self._log = None  # step()'s outcome list while it runs, else None
 
         # Named regions only, name -> counters credited so far (flat, in
@@ -213,17 +219,17 @@ class Hierarchy:
             code = cache._access(block, write)
             if log is not None:
                 log.append((cache.name, cache.outcome(code)))
-            if nxt is None:  # memory boundary
+            if mc is not None:  # memory boundary
                 mc[0] += 1
                 if code == HIT:
                     mc[1] += 1
                 else:
                     mc[2] += 1
                     if events is not None:
-                        events.append(TimingEvent(miss_kind, at, cache.bsize))
-                if code == MISS_REPLACE_DIRTY and events is not None:
-                    events.append(TimingEvent("writeback", at, cache.bsize))
-            elif code != HIT:
+                        events.append((miss_kind, at, cache.bsize))
+                        if code == MISS_REPLACE_DIRTY:
+                            events.append(("writeback", at, cache.bsize))
+            elif code != HIT and nxt is not None:
                 bsize = cache.bsize
                 victim = cache.victim  # before the refill recursion
                 nxt_routed[0] += self._access_level(
@@ -238,18 +244,12 @@ class Hierarchy:
     def _walk(self, records):
         """The one loop behind run and step: fold trace rows into counters
         held in locals until each region snapshot and the loop's end, settling
-        a repeat of an entry cache's last block in place unless step() logs."""
-        itlb, dtlb = self.itlb, self.dtlb
-        i_entry, d_entry = self._i_entry, self._d_entry
-        ic, dc = (e and e[0] for e in (i_entry, d_entry))
-        it_shift, dt_shift, ic_shift, dc_shift = (c and c._bshift for c in (itlb, dtlb, ic, dc))
-        # (cache, its side's mem_counts row at the memory boundary) per batch
-        batched = ((ic, i_entry and i_entry[3]), (dc, d_entry and d_entry[3]),
-                   (itlb, None), (dtlb, None))
+        a repeat of an entry cache's last block in place."""
+        entries = i_entry, d_entry, it_entry, dt_entry = self._entries
+        ic, dc, itlb, dtlb = (e and e[0] for e in entries)
+        ic_shift, dc_shift, it_shift, dt_shift = (c and c._bshift for c in (ic, dc, itlb, dtlb))
         entry_accesses = self.entry_accesses
         access_level = self._access_level
-        log = self._log
-        in_place = log is None
         rows = iter(records)
         while True:  # the walk resumes here after each region marker
             insn, ops, refs = self.sim_num_insn, self.ops_executed, self.sim_num_refs
@@ -261,15 +261,13 @@ class Hierarchy:
                         insn += 1
                         ops += arg
                         if itlb is not None:
-                            if (page := addr >> it_shift) == itlb._last and in_place:
+                            if addr >> it_shift == itlb._last:
                                 it_hits += 1
                             else:
-                                entry_accesses[itlb.name] += 1
-                                result = itlb._access(page, False)
-                                if log is not None:
-                                    log.append((itlb.name, itlb.outcome(result)))
+                                entry_accesses[itlb.name] += access_level(
+                                    it_entry, addr, 1, False, insn - 1)
                         if ic is not None:
-                            if addr >> ic_shift == ic._last and in_place:
+                            if addr >> ic_shift == ic._last:
                                 i_hits += 1
                             else:
                                 entry_accesses[ic.name] += access_level(
@@ -277,15 +275,13 @@ class Hierarchy:
                     elif code == 1 or code == 2:  # L, S: arg is the size
                         refs += 1
                         if dtlb is not None:
-                            if (page := addr >> dt_shift) == dtlb._last and in_place:
+                            if addr >> dt_shift == dtlb._last:
                                 dt_hits += 1
                             else:
-                                entry_accesses[dtlb.name] += 1
-                                result = dtlb._access(page, False)
-                                if log is not None:
-                                    log.append((dtlb.name, dtlb.outcome(result)))
+                                entry_accesses[dtlb.name] += access_level(
+                                    dt_entry, addr, 1, False, insn)
                         if dc is not None:
-                            if ((block := addr >> dc_shift) == dc._last and in_place and arg > 0
+                            if ((block := addr >> dc_shift) == dc._last and arg > 0
                                     and (addr + arg - 1) >> dc_shift == block):
                                 d_hits += 1
                                 if code == 2:
@@ -311,8 +307,9 @@ class Hierarchy:
             finally:
                 self.sim_num_insn, self.ops_executed, self.sim_num_refs = insn, ops, refs
                 self.taken_branches, self.not_taken_branches = taken, not_taken
-                for (c, mc), n in zip(batched, (i_hits, d_hits, it_hits, dt_hits)):
+                for entry, n in zip(entries, (i_hits, d_hits, it_hits, dt_hits)):
                     if n:
+                        c, _, _, mc, _ = entry
                         c.hits += n
                         entry_accesses[c.name] += n
                         if mc is not None:  # memory boundary
@@ -325,9 +322,13 @@ class Hierarchy:
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]
-        for every cache access it caused, in order.  It always takes the
-        general path, with no in-place hit, so it is the oracle run is
-        tested against."""
+        for every cache access it caused, in order.  It first clears the
+        entry caches' ``_last``, as a flush does, so every access takes the
+        general path and is logged; ``tests/reference.py::RefHierarchy`` is
+        the independent oracle run is tested against."""
+        for entry in self._entries:
+            if entry is not None:
+                entry[0]._last = None
         self._log = log = []
         try:
             self._walk((rec,))

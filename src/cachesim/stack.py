@@ -27,7 +27,7 @@ def block_refs(records, bsize):
     for code, addr, size in records:
         if code == 1 or code == 2:  # L, S
             first, last = addr // bsize, (addr + size - 1) // bsize
-            if first == last:
+            if last <= first:  # one block, or a size of 0 or less
                 yield first
             else:
                 yield from range(first, last + 1)

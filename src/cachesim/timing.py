@@ -3,10 +3,12 @@
 Execution takes one core cycle per instruction record.  Stalls decompose
 into miss service (misses times the side's penalty), bus-conflict waiting,
 and taken-branch stalls, which come from the branch counts alone.  A
-single memory bus serves refills and writebacks in trace order: each
-transaction requests the bus at its event's timestamp (the instruction
-index when it was issued, a documented approximation), waits until the
-bus frees, and occupies it for
+single memory bus serves refills and writebacks in trace order.  Each
+transaction is a ``(kind, at, size)`` tuple: kind is "imiss", "dmiss" or
+"writeback", ``at`` the issuing instruction index (the instruction count
+when its record began, a documented approximation) and ``size`` the
+transfer in bytes.  It requests the bus at ``at``, waits until the bus
+frees, and occupies it for
 
     ceil(ceil(size / mem_width) * core_clk / bus_clk)  core cycles,
 
@@ -23,17 +25,6 @@ from .config import TimingSpec
 
 class InconsistentCounts(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class TimingEvent:
-    """One bus transaction: kind is "imiss", "dmiss" or "writeback"; ``at``
-    is the issuing instruction index, the instruction count when its record
-    began; ``size`` the transfer in bytes."""
-
-    kind: str
-    at: int
-    size: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +73,8 @@ def _transfer_cycles(t, size):
 
 
 def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
-    """Fold a stream of bus transactions into a CycleReport.
+    """Fold a stream of ``(kind, at, size)`` bus transactions into a
+    CycleReport.
 
     ``imem`` and ``dmem`` are (accesses, hits, misses) summaries whose
     misses must agree with the stream's miss events, and ``branches`` is
@@ -101,20 +93,19 @@ def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
     bus_free = 0
     bus_busy = 0
     i_conflict = d_conflict = 0
-    for ev in events:
-        kind = ev.kind
-        if ev.size < 1:
-            raise ValueError(f"bus event needs a transfer size: {ev}")
-        start = ev.at if ev.at > bus_free else bus_free
-        cycles = _transfer_cycles(t, ev.size)
+    for kind, at, size in events:
+        if size < 1:
+            raise ValueError(f"bus event needs a transfer size: {(kind, at, size)}")
+        start = at if at > bus_free else bus_free
+        cycles = _transfer_cycles(t, size)
         if kind == "writeback":
             cycles += t.wb_penalty
         elif kind == "imiss":
             n_imiss += 1
-            i_conflict += start - ev.at
+            i_conflict += start - at
         elif kind == "dmiss":
             n_dmiss += 1
-            d_conflict += start - ev.at
+            d_conflict += start - at
         else:
             raise ValueError(f"unknown event kind {kind!r}")
         bus_busy += cycles

@@ -130,6 +130,9 @@ class RefHierarchy:
     ("writeback", after the miss that caused it), in walk order; ``at`` is
     the number of instructions fetched before the record began and ``size``
     the boundary cache's block size.  ``ops`` sums the fetches' op counts.
+    ``ledger`` maps each RefCache to a dict counting its accesses by cause:
+    "entry" (from the trace), "refill" and "writeback" (from the level
+    above).
     """
 
     def __init__(self, dl1, dl2=None, il1=None, il2=None, itlb=None, dtlb=None,
@@ -153,13 +156,18 @@ class RefHierarchy:
         self.insts = self.refs = self.ops = 0
         self.branches = [0, 0, 0]  # executed, taken, not taken
         self.events = []
+        self.ledger = {c: {"entry": 0, "refill": 0, "writeback": 0} for c in self.caches}
 
-    def _walk(self, path, side, addr, size, write, at):
+    def _access(self, c, addr, write, cause):
+        self.ledger[c][cause] += 1
+        return c.access(addr, write)
+
+    def _walk(self, path, side, addr, size, write, at, cause="entry"):
         c = path[0]
         first = addr // c.bsize
         last = max(first, (addr + size - 1) // c.bsize)  # size <= 0: one block
         for b in range(first, last + 1):
-            outcome, victim, dirty = c.access(b * c.bsize, write)
+            outcome, victim, dirty = self._access(c, b * c.bsize, write, cause)
             if len(path) == 1:
                 m = self.mem[side]
                 m[0] += 1
@@ -169,10 +177,11 @@ class RefHierarchy:
                 if dirty:
                     self.events.append(("writeback", at, c.bsize))
             elif outcome == "miss":
-                self._walk(path[1:], side, b * c.bsize, c.bsize, False, at)
+                self._walk(path[1:], side, b * c.bsize, c.bsize, False, at, "refill")
                 if dirty:
                     victim_block = victim * c.nsets + b % c.nsets
-                    self._walk(path[1:], side, victim_block * c.bsize, c.bsize, True, at)
+                    self._walk(path[1:], side, victim_block * c.bsize, c.bsize, True, at,
+                               "writeback")
 
     def feed(self, rows):
         for code, addr, arg in rows:
@@ -181,13 +190,13 @@ class RefHierarchy:
                 self.insts += 1
                 self.ops += arg
                 if self.itlb is not None:
-                    self.itlb.access(addr)
+                    self._access(self.itlb, addr, False, "entry")
                 if self.i_path:
                     self._walk(self.i_path, "I", addr, 1, False, at)
             elif code in (1, 2):
                 self.refs += 1
                 if self.dtlb is not None:
-                    self.dtlb.access(addr)
+                    self._access(self.dtlb, addr, False, "entry")
                 if self.d_path:
                     self._walk(self.d_path, "D", addr, arg, code == 2, at)
             elif code == 3:

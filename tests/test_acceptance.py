@@ -17,7 +17,6 @@ from cachesim import (
     MemSideReport,
     SimReport,
     CacheStats,
-    TimingEvent,
     TimingSpec,
     account,
     belady_misses,
@@ -83,8 +82,8 @@ def test_criterion_1_config_fidelity():
 def test_criterion_2_timing_arithmetic():
     t = TimingSpec(core_clk_mhz=1000, bus_clk_mhz=500, miss_penalty=36,
                    wb_penalty=33, icache_penalty=45, branch_stall=1)
-    events = [TimingEvent("imiss", i * 1000, 64) for i in range(120)]
-    events += [TimingEvent("dmiss", 200000 + i * 1000, 32) for i in range(40)]
+    events = [("imiss", i * 1000, 64) for i in range(120)]
+    events += [("dmiss", 200000 + i * 1000, 32) for i in range(40)]
     c = account(events, t, insn_count=1488, op_count=1689,
                 imem=(1250, 1130, 120), dmem=(687, 647, 40), branches=(0, 0, 0))
     assert c.imem.stall_miss == 120 * 45 == 5400

@@ -162,6 +162,29 @@ def test_flush_empty_cache():
     assert (c.writebacks, c.invalidations) == (0, 0)
 
 
+@pytest.mark.parametrize("policy", ["l", "f", "r"])
+def test_repeated_fill_flush_cycles_match_the_reference(policy):
+    # flush visits only the sets filled since the last flush: cycles of
+    # fills then one or two flushes, some cycles with no access at all,
+    # must invalidate and write back what the reference does.
+    rng = random.Random(29)
+    for trial in range(20):
+        nsets, assoc = rng.choice([1, 2, 8]), rng.choice([1, 2, 4])
+        c = make_cache(nsets, 16, assoc, policy, seed=trial)
+        ref = RefCache(nsets, 16, assoc, policy, seed=trial)
+        for _ in range(12):
+            for _ in range(rng.choice([0, 1, 3, 20])):
+                addr, write = rng.randrange(1 << 10), rng.random() < 0.4
+                assert c.access(addr, write).hit == (ref.access(addr, write)[0] == "hit")
+            for _ in range(rng.choice([1, 1, 2])):
+                c.flush()
+                ref.flush()
+                assert (c.hits, c.misses, c.replacements, c.writebacks, c.invalidations) \
+                    == (ref.hits, ref.misses, ref.replacements, ref.writebacks,
+                        ref.invalidations)
+                assert all(blocks == [] for blocks in c._sets) and not c._dirty
+
+
 def test_rates_match_published_values():
     stats = CacheStats(accesses=7064, hits=6629, misses=435, replacements=221)
     assert round(stats.miss_rate, 4) == 0.0616

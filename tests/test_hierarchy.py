@@ -181,7 +181,7 @@ def test_events_are_bus_transactions_only():
     rep = h.run([inst(0, 1), branch(True), store(0x40, 4), branch(True),
                  load(0x40 + 128, 4), branch(False), branch(True)],
                 collect_events=True, clock=lambda: 0.0)
-    assert [e.kind for e in h.events] == ["imiss", "dmiss", "dmiss", "writeback"]
+    assert [kind for kind, _, _ in h.events] == ["imiss", "dmiss", "dmiss", "writeback"]
     assert (rep.branches.taken, rep.branches.not_taken) == (3, 1)
 
 
@@ -487,7 +487,7 @@ def test_store_settled_in_place_marks_the_line_dirty():
     h.run([load(a, 4), store(a, 4), load(b, 4)], collect_events=True, clock=lambda: 0.0)
     dl1 = h.caches["dl1"]
     assert (dl1.hits, dl1.misses, dl1.writebacks) == (1, 2, 1)
-    assert [e.kind for e in h.events] == ["dmiss", "dmiss", "writeback"]
+    assert [kind for kind, _, _ in h.events] == ["dmiss", "dmiss", "writeback"]
     assert h.mem_counts["D"] == [3, 1, 2]
 
 
@@ -603,14 +603,8 @@ def _ref_rows(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans(),
-       seed=st.integers(-2, 2**64))
-def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush, seed):
-    args = [x for flag_value in flags.items() for x in flag_value]
-    h = build(args + ["-flush", "true" if flush else "false"], seed)
-    rep = h.run(rows, collect_events=True, clock=lambda: 0.0)
-
+def _reference(flags, seed, flush):
+    """RefCaches by name, and the RefHierarchy wiring them as ``flags`` do."""
     refs = {}
 
     def ref(flag):
@@ -625,16 +619,68 @@ def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush, seed):
     model = RefHierarchy(*map(ref, ["-cache:dl1", "-cache:dl2", "-cache:il1",
                                     "-cache:il2", "-tlb:itlb", "-tlb:dtlb"]),
                          flush_on_syscall=flush)
+    return refs, model
+
+
+def _build_from(flags, seed, flush):
+    args = [x for flag_value in flags.items() for x in flag_value]
+    return build(args + ["-flush", "true" if flush else "false"], seed)
+
+
+def _ref_counts(c):
+    return c.hits, c.misses, c.replacements, c.writebacks, c.invalidations
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans(),
+       seed=st.integers(-2, 2**64))
+def test_run_matches_a_hierarchy_of_reference_caches(flags, rows, flush, seed):
+    h = _build_from(flags, seed, flush)
+    rep = h.run(rows, collect_events=True, clock=lambda: 0.0)
+    refs, model = _reference(flags, seed, flush)
     model.feed(rows)
 
-    def counts(c):
-        return c.hits, c.misses, c.replacements, c.writebacks, c.invalidations
-
-    assert {n: counts(c) for n, c in h.caches.items()} == \
-        {n: counts(c) for n, c in refs.items()}
+    assert {n: _ref_counts(c) for n, c in h.caches.items()} == \
+        {n: _ref_counts(c) for n, c in refs.items()}
     assert h.mem_counts == model.mem
     assert (h.sim_num_insn, h.sim_num_refs, h.ops_executed) == \
         (model.insts, model.refs, model.ops)
     b = rep.branches
     assert [b.executed, b.taken, b.not_taken] == model.branches
-    assert [(e.kind, e.at, e.size) for e in h.events] == model.events
+    assert h.events == model.events
+
+
+@settings(max_examples=200, deadline=None)
+@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans(),
+       seed=st.integers(0, 3), data=st.data())
+def test_run_and_step_interleaved_match_one_reference_run(flags, rows, flush, seed, data):
+    # The rows, cut at drawn points, go alternately through run and step on
+    # one hierarchy: a step after a run logs every access of its record,
+    # and a run after a step settles only true repeats in place.
+    h = _build_from(flags, seed, flush)
+    h.events = []
+    refs, model = _reference(flags, seed, flush)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        if data.draw(st.booleans(), label="step"):
+            for row in rows[lo:hi]:
+                before = {n: c.hits + c.misses for n, c in refs.items()}
+                logged = Counter(name for name, _ in h.step(row))
+                model.feed([row])
+                assert logged == {n: c.hits + c.misses - before[n]
+                                  for n, c in refs.items() if c.hits + c.misses > before[n]}
+        else:
+            h.run(rows[lo:hi], clock=lambda: 0.0)
+            model.feed(rows[lo:hi])
+        assert {n: _ref_counts(c) for n, c in h.caches.items()} == \
+            {n: _ref_counts(c) for n, c in refs.items()}
+
+    ledger = {n: model.ledger[c] for n, c in refs.items()}
+    assert h.entry_accesses == {n: counts["entry"] for n, counts in ledger.items()}
+    assert {n: v for n, v in h.routed.items() if v != [0, 0]} == \
+        {n: [counts["refill"], counts["writeback"]] for n, counts in ledger.items()
+         if counts["refill"] or counts["writeback"]}
+    assert h.mem_counts == model.mem
+    assert h.events == model.events
+    assert (h.sim_num_insn, h.sim_num_refs, h.ops_executed) == \
+        (model.insts, model.refs, model.ops)

@@ -19,7 +19,7 @@ TimingSpec parse_cache_spec parse_hierarchy_args parse_vex_cfg BranchCounts Hier
 RegionCounters SimReport TOTAL_REGION export render_region_profile render_simcache
 render_sweep_table render_vex_summary DistanceHistogram SweepRow belady_misses block_refs
 misses_for_assoc stack_distances sweep BranchReport CycleReport InconsistentCounts
-MemSideReport TimingEvent account main_memory_latency TraceRecord TraceSyntaxError branch
+MemSideReport account main_memory_latency TraceRecord TraceSyntaxError branch
 gen_loop gen_random gen_sequential inst load parse_trace parse_trace_binary read_trace_path
 region store syscall write_trace write_trace_binary write_trace_path
 """.split()

@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from cachesim import (
     DistanceHistogram,
+    Hierarchy,
+    HierarchySpec,
     belady_misses,
+    block_refs,
     gen_random,
     load,
     misses_for_assoc,
+    parse_cache_spec,
     stack_distances,
     store,
     sweep,
@@ -38,6 +42,17 @@ def test_histogram_total_matches_processed_refs():
     records = gen_random(4, 0, 1 << 14, 500) + [store(0x1E, 4)]  # spans 2 blocks
     h = stack_distances(records, 8, 32)
     assert h.total == 502
+
+
+def test_rows_of_size_zero_or_less_touch_their_block_once():
+    # The stack passes and the hierarchy walk agree on such rows, aligned
+    # to a block's start or not.
+    rows = [(1, 64, 0), (1, 65, 0), (2, 96, -2), (2, 127, -1), (1, 0, 4), (1, 30, 4)]
+    assert list(block_refs(rows, 32)) == [2, 2, 3, 3, 0, 0, 1]
+    assert stack_distances(rows, 4, 32).total == 7
+    h = Hierarchy(HierarchySpec(dl1=parse_cache_spec("dl1:4:32:1:l")))
+    h.run(rows, clock=lambda: 0.0)
+    assert h.caches["dl1"].accesses == 7
 
 
 def test_misses_for_assoc_examples():

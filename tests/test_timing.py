@@ -4,7 +4,6 @@ import pytest
 
 from cachesim import (
     InconsistentCounts,
-    TimingEvent,
     TimingSpec,
     account,
     main_memory_latency,
@@ -17,11 +16,11 @@ VEX_TIMING = TimingSpec(
 
 
 def imiss(at, size=64):
-    return TimingEvent("imiss", at, size)
+    return ("imiss", at, size)
 
 
 def dmiss(at, size=32):
-    return TimingEvent("dmiss", at, size)
+    return ("dmiss", at, size)
 
 
 def spread(n, make, step=100):
@@ -67,7 +66,7 @@ def test_back_to_back_misses_conflict():
 
 
 def test_writebacks_occupy_bus_but_do_not_stall():
-    wb = TimingEvent("writeback", 0, 32)
+    wb = ("writeback", 0, 32)
     c = account([wb, dmiss(0)], VEX_TIMING, insn_count=1, op_count=1,
                 imem=(0, 0, 0), dmem=(1, 0, 1), branches=(0, 0, 0))
     # writeback holds the bus 8 transfer cycles + 33 penalty; the refill waits
@@ -89,7 +88,7 @@ def test_branch_is_not_a_bus_event():
     # Taken branches reach the cycle model only through ``branches``.
     for size in (0, 4):
         with pytest.raises(ValueError):
-            account([TimingEvent("branch", 0, size)], VEX_TIMING, 10, 10,
+            account([("branch", 0, size)], VEX_TIMING, 10, 10,
                     imem=(0, 0, 0), dmem=(0, 0, 0), branches=(1, 1, 0))
 
 
@@ -109,7 +108,7 @@ def test_report_identities_random_events():
                 events.append(dmiss(at, rng.choice([16, 32, 64])))
                 n_d += 1
             else:
-                events.append(TimingEvent("writeback", at, 32))
+                events.append(("writeback", at, 32))
                 n_wb += 1
         n_br = rng.randrange(0, 40)
         insn = at + rng.randrange(1, 50)
