@@ -345,8 +345,8 @@ class Hierarchy:
         is floored at one second, matching the integer-seconds convention
         of the classic statistics output.
         """
-        if collect_events:
-            self.events = []
+        if collect_events and self.events is None:
+            self.events = []  # a later run adds to it, as to the counters
         start = clock()
         self._walk(records)
         elapsed = int(clock() - start)

@@ -23,7 +23,14 @@ are that row, so whatever walks a trace (``for code, addr, arg in
 records``) takes decoder rows and TraceRecords alike.
 
 Each format has one decoder that yields rows.  ``decode_text`` takes
-text lines one at a time.  ``decode_binary`` reads a ``.ctb`` file in
+text lines one at a time; it tests the fields of a line inline and calls
+a check that names the fault only when a test fails.  ``read_rows`` reads
+a ``.ct`` file in chunks of whole lines (``_TEXT_CHUNK`` bytes and the
+rest of the last line), decodes each chunk's UTF-8 once and splits it on
+``"\\n"``, the only line end, so its memory is one chunk, not the file.  A
+byte that is not UTF-8 is named by its line: the lines before it yield
+their rows, then a TraceSyntaxError gives its line number and the
+decoder's reason.  ``decode_binary`` reads a ``.ctb`` file in
 chunks of ``_CHUNK`` bytes (whole records) and runs
 ``struct.iter_unpack`` over each stretch of fixed records; it restarts
 after each region name, carries a partial record over to the next chunk
@@ -141,44 +148,64 @@ def _checked(n, make, *args):
         raise TraceSyntaxError(n, str(exc)) from None
 
 
-def decode_text(lines):
-    """Yield rows from an iterable of text lines.
+def decode_text(lines, start=1):
+    """Yield rows from an iterable of text lines, numbered from ``start``.
 
     Raises TraceSyntaxError carrying the 1-based line number on any
     malformed record.
     """
-    for line_no, raw in enumerate(lines, 1):
-        toks = raw.split("#", 1)[0].split()
+    for line_no, raw in enumerate(lines, start):
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not toks:
             continue
         kind = toks[0]
-        if kind == "I":
-            if len(toks) not in (2, 3):
-                raise TraceSyntaxError(line_no, "I takes an address and optional op count")
-            ops = _int_field(toks[2], line_no, "op count") if len(toks) == 3 else 1
-            yield (0, _hex_field(toks[1], line_no), ops)
-        elif kind == "L" or kind == "S":
-            if len(toks) != 3:
-                raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
-            addr = _hex_field(toks[1], line_no)
-            size = _int_field(toks[2], line_no, "size")
-            if addr + size > _ADDR_END:
-                _checked(line_no, load, addr, size)  # raises: runs past the address space
-            yield (1 if kind == "L" else 2, addr, size)
-        elif kind == "B":
-            if len(toks) != 2 or toks[1] not in ("T", "N"):
-                raise TraceSyntaxError(line_no, "B takes T or N")
-            yield _TAKEN if toks[1] == "T" else _NOT_TAKEN
-        elif kind == "Y":
-            if len(toks) != 1:
-                raise TraceSyntaxError(line_no, "Y takes no arguments")
-            yield _SYSCALL
-        elif kind == "R":
-            if len(toks) != 2:
-                raise TraceSyntaxError(line_no, "R takes a region name")
-            yield _checked(line_no, region, toks[1])
-        else:
-            raise TraceSyntaxError(line_no, f"unknown record kind {kind!r}")
+        try:  # fields are tested inline; one that fails goes to _field_error
+            if kind == "I":
+                if len(toks) not in (2, 3):
+                    raise TraceSyntaxError(line_no, "I takes an address and optional op count")
+                ops = int(toks[2]) if len(toks) == 3 else 1
+                addr = int(toks[1], 16)
+                if ops < 1 or not 0 <= addr <= MAX_ADDR:
+                    raise ValueError
+                yield (0, addr, ops)
+            elif kind == "L" or kind == "S":
+                if len(toks) != 3:
+                    raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
+                addr = int(toks[1], 16)
+                size = int(toks[2])
+                if addr < 0 or size < 1 or addr + size > _ADDR_END:
+                    raise ValueError
+                yield (1 if kind == "L" else 2, addr, size)
+            elif kind == "B":
+                if len(toks) != 2 or toks[1] not in ("T", "N"):
+                    raise TraceSyntaxError(line_no, "B takes T or N")
+                yield _TAKEN if toks[1] == "T" else _NOT_TAKEN
+            elif kind == "Y":
+                if len(toks) != 1:
+                    raise TraceSyntaxError(line_no, "Y takes no arguments")
+                yield _SYSCALL
+            elif kind == "R":
+                if len(toks) != 2:
+                    raise TraceSyntaxError(line_no, "R takes a region name")
+                yield _checked(line_no, region, toks[1])
+            else:
+                raise TraceSyntaxError(line_no, f"unknown record kind {kind!r}")
+        except TraceSyntaxError:
+            raise
+        except ValueError:
+            _field_error(toks, line_no)
+
+
+def _field_error(toks, line_no):
+    """Raise the error of an I, L or S line whose fields failed the inline
+    tests, checking them in order: an I line's op count before its address."""
+    if toks[0] == "I":
+        if len(toks) == 3:
+            _int_field(toks[2], line_no, "op count")
+        _hex_field(toks[1], line_no)
+    else:
+        addr = _hex_field(toks[1], line_no)
+        _checked(line_no, load, addr, _int_field(toks[2], line_no, "size"))  # past MAX_ADDR
 
 
 def _hex_field(tok, line_no):
@@ -223,6 +250,7 @@ def write_trace(records):
 
 _REC = struct.Struct("<BQH")
 _CHUNK = _REC.size * 8192  # bytes per .ctb read, about 88 KiB
+_TEXT_CHUNK = 4096  # bytes per .ct read, before the rest of its last line
 
 
 def write_trace_binary(records):
@@ -324,22 +352,26 @@ def read_rows(path):
     raises there) and closes after the last, or when the iterator is dropped."""
     def opened():
         with open(path, "rb") as fh:
-            yield decode_binary(fh) if str(path).endswith(".ctb") else decode_text(_utf8_lines(fh))
+            if str(path).endswith(".ctb"):
+                yield decode_binary(fh)
+                return
+            line_no = 1  # of the chunk's first line
+            while data := fh.read(_TEXT_CHUNK) + fh.readline():  # whole lines
+                try:
+                    lines = data.decode("utf-8").split("\n")
+                except UnicodeDecodeError as exc:  # the lines before the bad byte, then its error
+                    lines = data[:exc.start].decode("utf-8").split("\n")
+                    yield decode_text(lines[:-1], line_no)
+                    raise TraceSyntaxError(line_no + len(lines) - 1,
+                                           f"not valid UTF-8: {exc.reason}") from None
+                yield decode_text(lines, line_no)
+                line_no += len(lines) - 1
     return chain.from_iterable(opened())
 
 
 def read_trace_path(path):
     """Open a .ct or .ctb trace file as a record iterator."""
     return map(_as_record, read_rows(path))
-
-
-def _utf8_lines(raw_lines):
-    """Decode byte lines one at a time, so a bad byte is named by its line."""
-    for line_no, raw in enumerate(raw_lines, 1):
-        try:
-            yield raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceSyntaxError(line_no, f"not valid UTF-8: {exc.reason}") from None
 
 
 def write_trace_path(path, records):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from cachesim import (
     Hierarchy,
     HierarchySpec,
+    TimingSpec,
     TraceSyntaxError,
+    account,
     branch,
     inst,
     load,
@@ -183,6 +185,31 @@ def test_events_are_bus_transactions_only():
                 collect_events=True, clock=lambda: 0.0)
     assert [kind for kind, _, _ in h.events] == ["imiss", "dmiss", "dmiss", "writeback"]
     assert (rep.branches.taken, rep.branches.not_taken) == (3, 1)
+
+
+def test_collecting_runs_add_up_to_one_run_over_their_rows():
+    # Events, like the counters, accumulate over the runs of one hierarchy,
+    # so account() sees as many miss events as mem_counts has misses.
+    rng = random.Random(5)
+    parts = [_random_trace(rng, 400), [inst(0), load(0x1000, 4)],
+             [inst(0x8000), load(0x9000, 4)], _random_trace(rng, 400)]
+    t = TimingSpec(core_clk_mhz=1000, bus_clk_mhz=500, miss_penalty=36,
+                   wb_penalty=33, icache_penalty=45, branch_stall=1)
+
+    def cycles(h, rep):
+        b = rep.branches
+        return account(h.events, t, rep.sim_num_insn, h.ops_executed, h.mem_counts["I"],
+                       h.mem_counts["D"], (b.executed, b.taken, b.not_taken))
+
+    split = mini(il1="il1:4:32:1:l", dl1="dl1:4:32:1:l")
+    whole = mini(il1="il1:4:32:1:l", dl1="dl1:4:32:1:l")
+    for rows in parts:
+        rep = split.run(rows, collect_events=True, clock=lambda: 0.0)
+    whole_rep = whole.run([r for rows in parts for r in rows], collect_events=True,
+                          clock=lambda: 0.0)
+    assert split.events == whole.events and len(split.events) > 4
+    assert split.mem_counts == whole.mem_counts
+    assert cycles(split, rep) == cycles(whole, whole_rep)
 
 
 def test_run_empty_trace():

@@ -2,6 +2,7 @@ import copy
 import io
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,42 @@ def test_non_utf8_text_trace_names_its_line(tmp_path):
         list(read_trace_path(p))
     assert exc.value.line_no == 3
     assert "UTF-8" in exc.value.reason
+
+
+@pytest.mark.parametrize("text_chunk", [1, 5, 4096])
+@pytest.mark.parametrize("blob, line_no, reason", [
+    (b"I 0\nL 10 4\nR \xc2\nY\n", 3, "invalid continuation byte"),  # the line's "\n" follows
+    (b"I 0\nL 10 4\nR \xc2", 3, "unexpected end of data"),  # the file ends
+    (b"I 0\nL 10 4\nR a\xff\xc2\n", 3, "invalid start byte"),
+])
+def test_rows_before_a_bad_utf8_byte_come_first(tmp_path, monkeypatch, blob, line_no, reason,
+                                                 text_chunk):
+    monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
+    p = tmp_path / "t.ct"
+    p.write_bytes(blob)
+    assert _outcome(read_rows(p)) == (
+        [(0, 0, 1), (1, 0x10, 4)], (f"trace line {line_no}: not valid UTF-8: {reason}", line_no))
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_only_newline_ends_a_text_line(tmp_path, sep):
+    p = tmp_path / "t.ct"
+    p.write_bytes(f"I 0{sep}\nL 10{sep}4{sep}# c{sep}x\n{sep}B T\nB X\n".encode())
+    assert _outcome(read_rows(p)) == ([(0, 0, 1), (1, 0x10, 4), branch(True)],
+                                      ("trace line 4: B takes T or N", 4))
+
+
+def test_reading_a_text_trace_holds_one_small_chunk(tmp_path):
+    p = tmp_path / "t.ct"
+    p.write_text("I 400000 3\nL 7fff0 4  # a comment\nB T\n" * 34_000)
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in read_rows(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 102_000
+    assert peak < 256 * 1024, peak
 
 
 @pytest.mark.parametrize("ext", [".ct", ".ctb"])
@@ -343,8 +380,10 @@ def _text_lines(draw, records, bad=False):
 
 
 # Text pieces that mutations insert: record letters, digits, separators,
-# non-ASCII digits and spaces, and a byte that is not UTF-8.
-_TEXT_PIECES = [c.encode() for c in "ILSBYRTNQ0179afx#-_ \t\r\n\u00a0\u0661\u00e9"] + [b"\xff"]
+# characters that break lines for str.splitlines but not for the .ct
+# grammar, non-ASCII digits and spaces, and a byte that is not UTF-8.
+_TEXT_PIECES = [c.encode() for c in
+                "ILSBYRTNQ0179afx#-_ \t\r\n\x0c\x1c\x85\u00a0\u0661\u00e9\u2028"] + [b"\xff"]
 
 
 @st.composite
@@ -379,32 +418,40 @@ def _outcome(rows):
     return got, None
 
 
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("decoded")
+
+
+# Read sizes of 1 to 60 bytes, so records, lines and names straddle the reads.
+_READ_SIZES = st.integers(1, 60)
+
+
 @settings(max_examples=200, deadline=None)
-@given(records=_records(), data=st.data(), chunk=st.integers(1, 60))
-def test_decoders_match_oracles_on_valid_traces(records, data, chunk):
+@given(records=_records(), data=st.data(), chunk=_READ_SIZES, text_chunk=_READ_SIZES)
+def test_decoders_match_oracles_on_valid_traces(scratch_dir, records, data, chunk, text_chunk):
     lines = data.draw(_text_lines(records))
     assert list(decode_text(lines)) == list(reference.parse_trace(lines)) == records
     blob = write_trace_binary(records)
+    (scratch_dir / "v.ct").write_bytes("".join(lines).encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace, "_CHUNK", chunk)  # records and names straddle the reads
+        mp.setattr(trace, "_CHUNK", chunk)
+        mp.setattr(trace, "_TEXT_CHUNK", text_chunk)
         assert list(decode_binary(io.BytesIO(blob))) == records
+        assert list(read_rows(scratch_dir / "v.ct")) == records
     assert list(reference.parse_trace_binary(blob)) == records
     for got in (parse_trace(lines), parse_trace_binary(blob)):
         assert all(type(r) is TraceRecord for r in got)
 
 
-@pytest.fixture(scope="module")
-def scratch_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("mutated")
-
-
 @settings(max_examples=400, deadline=None)
-@given(records=_records(valid=False), data=st.data(), chunk=st.integers(1, 60))
-def test_decoders_match_oracles_on_mutated_files(scratch_dir, records, data, chunk):
+@given(records=_records(valid=False), data=st.data(), chunk=_READ_SIZES, text_chunk=_READ_SIZES)
+def test_decoders_match_oracles_on_mutated_files(scratch_dir, records, data, chunk, text_chunk):
     text = "".join(data.draw(_text_lines(records, bad=True))).encode()
     for path, blob, pieces in ((scratch_dir / "t.ct", text, _TEXT_PIECES),
                                (scratch_dir / "t.ctb", write_trace_binary(records), None)):
         path.write_bytes(data.draw(_mutated(blob, pieces)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace, "_CHUNK", chunk)
+            mp.setattr(trace, "_TEXT_CHUNK", text_chunk)
             assert _outcome(read_rows(path)) == _outcome(reference.read_trace_path(path))
