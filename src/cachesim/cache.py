@@ -75,11 +75,11 @@ class Cache:
     """Mutable cache state; single-owner, not safe for concurrent mutation.
 
     ``_sets[si]`` lists the block numbers set si holds and ``_dirty`` is
-    the set of resident dirty block numbers.  Every ``_access`` records the
-    block number it touched in ``_last``, so the hierarchy can settle a
-    repeat reference to that block as a hit in place, adding the block to
-    ``_dirty`` on a store.  ``flush`` sets ``_last`` to None, which no
-    block number equals.
+    the set of resident dirty block numbers.  The set lists and ``_dirty``
+    only ever change in place (``flush`` clears them), so the hierarchy
+    binds them once per walk and settles a hit at an entry cache as
+    ``_access`` would: the block is in its set, a store adds it to
+    ``_dirty``, and under LRU it moves to the end of its set's list.
     """
 
     __slots__ = (
@@ -87,7 +87,7 @@ class Cache:
         "_bshift", "_smask", "_tshift",
         "_sets", "_filled", "_dirty", "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
-        "victim", "_last",
+        "victim",
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
@@ -112,7 +112,6 @@ class Cache:
         self.writebacks = 0
         self.invalidations = 0
         self.victim = 0
-        self._last = None  # block number of the latest access; None after a flush
 
     @property
     def accesses(self):
@@ -128,7 +127,6 @@ class Cache:
     def _access(self, block, write):
         """Fast path over a block number: returns an outcome code; victim is
         valid after MISS_REPLACE / MISS_REPLACE_DIRTY."""
-        self._last = block
         blocks = self._sets[block & self._smask]
         if write:
             self._dirty.add(block)
@@ -187,4 +185,3 @@ class Cache:
             blocks.clear()
         self._filled.clear()
         self._dirty.clear()
-        self._last = None

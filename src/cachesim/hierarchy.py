@@ -11,11 +11,12 @@ Routing rules:
   level; the refill read is issued first, then the writeback write.
 * Syscall records flush every cache when flush-on-syscall is enabled.
   Flush writebacks are local: they do not generate next-level traffic.
-* Region markers attribute by snapshot.  At each R record, and once when
-  the report is built, the change in the monotonic global counters since
-  the previous snapshot is credited to the named region that was active,
-  so the walk itself knows nothing of regions.  TOTAL is the global
-  counters; records after ``R TOTAL`` belong to no named region.
+* Region markers attribute by snapshot.  At each R record that names
+  another region, and once when the report is built, the change in the
+  monotonic global counters since the previous snapshot is credited to
+  the named region that was active, so the walk itself knows nothing of
+  regions.  TOTAL is the global counters; records after ``R TOTAL``
+  belong to no named region.
 
 Bindings resolve in one pass over the levels, data levels first, so a
 unified level aliases the Cache object of the data level it names; that
@@ -28,24 +29,17 @@ forwarded into each lower cache (refills and writebacks separately), so
 `l2.accesses == routed refills + routed writebacks` is checkable.
 
 One routine makes every access, down a linked path of level descriptors;
-a TLB is a one-level path with no memory boundary.  The walk settles the
-commonest reference in place.  Most references touch the block their
-cache touched just before, so at the walk's entry (each TLB and the first
-cache of each path) a single-block reference whose block equals that
-cache's ``_last`` counts as a hit with no call: a store adds the block to
-the cache's ``_dirty``, and the walk credits the hits, counted in locals,
-as hits, entry accesses and (at the memory boundary) boundary accesses
-and hits before each region snapshot, their only reader mid-walk, and
-when it returns or raises.  This is exact.
-Only an access to the cache, or a flush, changes what it holds; every
-access sets ``_last``, a flush clears it, and the hierarchy never
-back-invalidates, so the block is still resident.  A unified level is one
-Cache object with one ``_last``.  Under LRU the last-touched block is the
-newest entry of its LRU list, so touching it again leaves every set's
-order unchanged; FIFO and random change nothing on a hit.  Spans over
-more than one block, rows of size 0 or less, misses and L2 accesses take
-the general path, and so does all of ``step()``, which clears the entry
-caches' ``_last`` before its record so that it logs every access.
+a TLB is a one-level path with no memory boundary.  The walk settles a
+single-block hit at its entry (each TLB and the first cache of each path)
+in place, with no call, by the cache's own test on its ``_sets``: a store
+adds the block to ``_dirty`` and, under LRU, a block that is not its set's
+newest moves to the end, as in ``Cache._access``, so this is exact.  The
+hits, counted in locals, are credited as hits, entry accesses and (at the
+memory boundary) boundary accesses and hits before each region snapshot,
+their only reader mid-walk, and when the walk returns or raises.  Spans
+over more than one block, rows of size 0 or less, misses and L2 accesses
+take the general path, and so does all of ``step()``: its walk tests
+against sets that hold nothing, so it logs every access.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
@@ -244,10 +238,19 @@ class Hierarchy:
     def _walk(self, records):
         """The one loop behind run and step: fold trace rows into counters
         held in locals until each region snapshot and the loop's end, settling
-        a repeat of an entry cache's last block in place."""
+        a single-block hit at an entry cache in place with the cache's own
+        set test.  While step() logs, the entry tests see sets that hold
+        nothing, so every access takes the general path."""
         entries = i_entry, d_entry, it_entry, dt_entry = self._entries
         ic, dc, itlb, dtlb = (e and e[0] for e in entries)
         ic_shift, dc_shift, it_shift, dt_shift = (c and c._bshift for c in (ic, dc, itlb, dtlb))
+        # Per entry cache: its sets, set mask, and whether a hit reorders
+        # its set (LRU with more than one way).
+        (ic_sets, ic_smask, ic_lru), (dc_sets, dc_smask, dc_lru), \
+            (it_sets, it_smask, it_lru), (dt_sets, dt_smask, dt_lru) = (
+                (c._sets, c._smask, c._lru and c.assoc > 1)
+                if c is not None and self._log is None else (([],), 0, False)
+                for c in (ic, dc, itlb, dtlb))
         entry_accesses = self.entry_accesses
         access_level = self._access_level
         rows = iter(records)
@@ -255,37 +258,50 @@ class Hierarchy:
             insn, ops, refs = self.sim_num_insn, self.ops_executed, self.sim_num_refs
             taken, not_taken = self.taken_branches, self.not_taken_branches
             i_hits = d_hits = it_hits = dt_hits = 0
+            region = self.current_region
             try:
                 for code, addr, arg in rows:
                     if code == 0:  # I: arg is the op count
                         insn += 1
                         ops += arg
                         if itlb is not None:
-                            if addr >> it_shift == itlb._last:
+                            if (block := addr >> it_shift) in (held := it_sets[block & it_smask]):
                                 it_hits += 1
+                                if it_lru and held[-1] != block:
+                                    held.remove(block)
+                                    held.append(block)
                             else:
                                 entry_accesses[itlb.name] += access_level(
                                     it_entry, addr, 1, False, insn - 1)
                         if ic is not None:
-                            if addr >> ic_shift == ic._last:
+                            if (block := addr >> ic_shift) in (held := ic_sets[block & ic_smask]):
                                 i_hits += 1
+                                if ic_lru and held[-1] != block:
+                                    held.remove(block)
+                                    held.append(block)
                             else:
                                 entry_accesses[ic.name] += access_level(
                                     i_entry, addr, 1, False, insn - 1)
                     elif code == 1 or code == 2:  # L, S: arg is the size
                         refs += 1
                         if dtlb is not None:
-                            if addr >> dt_shift == dtlb._last:
+                            if (block := addr >> dt_shift) in (held := dt_sets[block & dt_smask]):
                                 dt_hits += 1
+                                if dt_lru and held[-1] != block:
+                                    held.remove(block)
+                                    held.append(block)
                             else:
                                 entry_accesses[dtlb.name] += access_level(
                                     dt_entry, addr, 1, False, insn)
                         if dc is not None:
-                            if ((block := addr >> dc_shift) == dc._last and arg > 0
-                                    and (addr + arg - 1) >> dc_shift == block):
+                            if ((block := addr >> dc_shift) in (held := dc_sets[block & dc_smask])
+                                    and arg > 0 and (addr + arg - 1) >> dc_shift == block):
                                 d_hits += 1
                                 if code == 2:
                                     dc._dirty.add(block)
+                                if dc_lru and held[-1] != block:
+                                    held.remove(block)
+                                    held.append(block)
                             else:
                                 entry_accesses[dc.name] += access_level(
                                     d_entry, addr, arg, code == 2, insn)
@@ -299,7 +315,8 @@ class Hierarchy:
                             for c in self.caches.values():
                                 c.flush()
                     elif code == 5:  # R: arg is the region name
-                        break
+                        if arg != region:  # naming the active region changes nothing
+                            break
                     else:
                         raise ValueError(f"unknown trace record kind code {code!r}")
                 else:
@@ -322,13 +339,10 @@ class Hierarchy:
 
     def step(self, rec):
         """Process one record, returning [(cache name, AccessOutcome), ...]
-        for every cache access it caused, in order.  It first clears the
-        entry caches' ``_last``, as a flush does, so every access takes the
-        general path and is logged; ``tests/reference.py::RefHierarchy`` is
-        the independent oracle run is tested against."""
-        for entry in self._entries:
-            if entry is not None:
-                entry[0]._last = None
+        for every cache access it caused, in order.  While it runs the walk
+        settles nothing in place, so every access takes the general path and
+        is logged; ``tests/reference.py::RefHierarchy`` is the independent
+        oracle run is tested against."""
         self._log = log = []
         try:
             self._walk((rec,))

@@ -3,12 +3,13 @@
 These are deliberately written apart from the package so agreement is
 meaningful.  ``RefCache`` keeps an oldest-first list of tags per set, where
 the package keeps block numbers, and keeps the dirty bits in a dict per set
-(the package keeps one set of dirty blocks per cache); it has no
-last-touched block, so it never settles a reference in place.  Its random
-policy keeps the list in way order and draws victims from its own
-xorshift64* generator, written from the generator's definition.  The other
-oracles search for victims way by way or exhaustively, and the trace
-parsers here are written on their own.
+(the package keeps one set of dirty blocks per cache); every access is a
+call, so it never settles a reference in place.  Its random policy keeps
+the list in way order and draws victims from its own xorshift64*
+generator, written from the generator's definition.  ``RefBus`` steps the
+memory bus one core cycle at a time where the package's cycle model adds
+up ceilings.  The other oracles search for victims way by way or
+exhaustively, and the trace parsers here are written on their own.
 """
 
 import struct
@@ -205,6 +206,78 @@ class RefHierarchy:
             elif code == 4 and self.flush_on_syscall:
                 for c in self.caches:
                     c.flush()
+
+
+class RefBus:
+    """The memory bus of the cycle model, stepped one core cycle at a time.
+
+    Transactions ``(kind, at, size)`` queue in the order given; the head is
+    served from the first core cycle, not before ``at``, in which the bus is
+    idle.  Each core cycle of a transfer moves the bus clock on by
+    ``bus_clk`` ticks, and ``core_clk`` ticks make one beat of ``mem_width``
+    bytes; ticks left over when the last beat completes are lost with the
+    rest of that core cycle.  A writeback then holds the bus for
+    ``wb_penalty`` more core cycles.  ``conflict`` maps "imiss" and "dmiss"
+    to the core cycles their transactions waited in the queue, and ``busy``
+    counts the core cycles the bus was held.
+    """
+
+    def __init__(self, core_clk, bus_clk, mem_width, wb_penalty):
+        self.core_clk, self.bus_clk = core_clk, bus_clk
+        self.mem_width, self.wb_penalty = mem_width, wb_penalty
+        self.conflict = {"imiss": 0, "dmiss": 0}
+        self.busy = 0
+
+    def feed(self, events):
+        cycle = 0  # the core cycles elapsed
+        for kind, at, size in events:
+            cycle = max(cycle, at)  # the bus idles until the request
+            if kind != "writeback":
+                self.conflict[kind] += cycle - at
+            left, ticks = size, 0
+            while left > 0:  # one core cycle of transfer
+                cycle += 1
+                self.busy += 1
+                ticks += self.bus_clk
+                while ticks >= self.core_clk and left > 0:
+                    ticks -= self.core_clk
+                    left -= self.mem_width
+            if kind == "writeback":
+                for _ in range(self.wb_penalty):
+                    cycle += 1
+                    self.busy += 1
+        return self
+
+
+def ref_cycles(model, t):
+    """The CycleReport fields, as a dict, of a fed RefHierarchy under the
+    TimingSpec ``t``: execution is one core cycle per instruction, and the
+    stall adds each side's misses times its penalty and its bus waiting,
+    then the taken branches times the branch stall."""
+    bus = RefBus(t.core_clk_mhz, t.bus_clk_mhz, t.mem_width, t.wb_penalty).feed(model.events)
+    sides = {}
+    for side, kind, penalty in (("imem", "imiss", t.icache_penalty),
+                                ("dmem", "dmiss", t.miss_penalty)):
+        accesses, hits, misses = model.mem[side[0].upper()]
+        stall_miss = misses * penalty
+        sides[side] = {"accesses": accesses, "hits": hits, "misses": misses,
+                       "stall_total": stall_miss + bus.conflict[kind],
+                       "stall_miss": stall_miss, "stall_bus_conflict": bus.conflict[kind]}
+    executed, taken, not_taken = model.branches
+    branch_stall = taken * t.branch_stall
+    stall = sides["imem"]["stall_total"] + sides["dmem"]["stall_total"] + branch_stall
+    total = model.insts + stall
+    return {
+        "total_cycles": total,
+        "execution_cycles": model.insts,
+        "stall_cycles": stall,
+        **sides,
+        "branch": {"executed": executed, "taken": taken, "not_taken": not_taken,
+                   "branch_stall_cycles": branch_stall},
+        "bus_busy_cycles": bus.busy,
+        "bandwidth_pct": 100.0 * bus.busy / total if total else 0.0,
+        "executed_operations": model.ops,
+    }
 
 
 def data_blocks(records, bsize):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from collections import Counter
@@ -22,8 +23,9 @@ from cachesim import (
     syscall,
     write_trace_binary,
 )
+from cachesim.config import DEFAULT_HIERARCHY_ARGS
 from cachesim.trace import decode_binary
-from reference import RefCache, RefHierarchy, cache_seed
+from reference import RefCache, RefHierarchy, cache_seed, ref_cycles
 
 
 def build(args=(), seed=1):
@@ -423,15 +425,24 @@ DENSE_CONFIGS = [
 @st.composite
 def _dense_trace(draw):
     """Rows dense in repeated blocks: fetch bursts at a 4-byte stride, loads
-    then stores to one block, spans over a block edge, zero-size rows, and
-    syscalls, branches and regions between bursts."""
+    then stores to one block, revisits of the older blocks of one set, spans
+    over a block edge, zero-size rows, and syscalls, branches and regions
+    between bursts."""
     rows = []
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(["fetch", "block", "span", "zero", "syscall",
-                                     "branch", "region"]))
+        kind = draw(st.sampled_from(["fetch", "block", "revisit", "span", "zero",
+                                     "syscall", "branch", "region"]))
         base = draw(st.integers(0, 1 << 10))
         if kind == "fetch":
             rows += [inst(base + 4 * i) for i in range(draw(st.integers(1, 24)))]
+        elif kind == "revisit":
+            # A, B, A, C, 512 bytes apart: one set of every entry cache of
+            # DENSE_CONFIGS, so the second A hits a way that is not the newest.
+            a = base & ~15
+            b, c = a + 512 * draw(st.integers(1, 3)), a + 512 * draw(st.integers(4, 6))
+            for addr in (a, b, a, c):
+                code = draw(st.sampled_from([0, 1, 2]))
+                rows.append((code, addr, 1 if code == 0 else draw(st.integers(1, 16))))
         elif kind == "block":  # loads, then stores, inside one 16-byte block
             block = base & ~15
             for code in (1, 2):
@@ -458,7 +469,7 @@ def _dense_trace(draw):
 @given(rows=_dense_trace(), args=st.sampled_from(DENSE_CONFIGS), flush=st.booleans(),
        seed=st.integers(0, 3))
 def test_run_settles_repeat_blocks_as_steps_do(rows, args, flush, seed):
-    # run settles a repeat of an entry cache's last block in place; step()
+    # run settles a single-block hit at an entry cache in place; step()
     # always takes the general path.  Both must count the same.
     args = args + ["-flush", "true"] if flush else args
     by_run, by_steps = build(args, seed), build(args, seed)
@@ -529,6 +540,20 @@ def test_store_settled_in_place_marks_the_way_it_hit():
     assert h.caches["dl1"].writebacks == 0
 
 
+@pytest.mark.parametrize("policy, victim", [("l", 0x10), ("f", 0x00)])
+def test_run_hit_on_the_older_way_keeps_the_policy_order(policy, victim):
+    # One set of 2 ways: L a, L b, L a, L c.  The second L a hits the way
+    # that is not the newest, settled in place by run.  LRU makes a the
+    # newest, so c evicts b; FIFO leaves the order alone, so c evicts a.
+    a, b, c = 0x00, 0x10, 0x20
+    h = mini(dl1=f"dl1:1:16:2:{policy}")
+    h.run([load(a, 4), load(b, 4), load(a, 4), load(c, 4)], clock=lambda: 0.0)
+    dl1 = h.caches["dl1"]
+    assert (dl1.hits, dl1.misses, dl1.replacements) == (1, 3, 1)
+    assert dl1.victim == victim >> 4
+    assert sorted(dl1._sets[0]) == sorted({a >> 4, b >> 4, c >> 4} - {victim >> 4})
+
+
 @pytest.mark.parametrize("by_run", [False, True])
 def test_negative_address_misses_on_cold_caches(by_run):
     # The tag of a negative address is negative (-1 for -64 at dtlb, dl1 and
@@ -543,8 +568,9 @@ def test_negative_address_misses_on_cold_caches(by_run):
     assert [(c.hits, c.misses) for c in (h.dtlb, *h.d_path)] == [(0, 1)] * 3
 
 
-def test_flush_forgets_the_last_block():
-    # After a flush the repeat of the last block is a miss, not an in-place hit.
+def test_a_flushed_set_misses_on_the_block_it_held():
+    # A flush empties every set in place, so the walk's set test sees the
+    # emptied set: the repeat of the block is a miss, not an in-place hit.
     h = build(["-flush", "true"])
     h.run([load(0x40, 4), syscall(), load(0x40, 4)], clock=lambda: 0.0)
     assert h.caches["dl1"].misses == 2
@@ -711,3 +737,127 @@ def test_run_and_step_interleaved_match_one_reference_run(flags, rows, flush, se
     assert h.events == model.events
     assert (h.sim_num_insn, h.sim_num_refs, h.ops_executed) == \
         (model.insts, model.refs, model.ops)
+
+
+def _dense_flags(args):
+    """DENSE_CONFIGS arguments as the six level flags, defaults filled in."""
+    flags = {**DEFAULT_HIERARCHY_ARGS, **dict(zip(args[::2], args[1::2]))}
+    del flags["-flush"]
+    return flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_dense_trace(), args=st.sampled_from(DENSE_CONFIGS), flush=st.booleans(),
+       seed=st.integers(0, 3))
+def test_dense_rows_match_a_hierarchy_of_reference_caches(rows, args, flush, seed):
+    # Rows dense in hits on every way of a set, against caches that make
+    # every access by a call.
+    flags = _dense_flags(args)
+    h = _build_from(flags, seed, flush)
+    h.run(rows, collect_events=True, clock=lambda: 0.0)
+    refs, model = _reference(flags, seed, flush)
+    model.feed(rows)
+    assert {n: _ref_counts(c) for n, c in h.caches.items()} == \
+        {n: _ref_counts(c) for n, c in refs.items()}
+    assert h.entry_accesses == {n: model.ledger[c]["entry"] for n, c in refs.items()}
+    assert h.mem_counts == model.mem
+    assert h.events == model.events
+
+
+def _timing_specs():
+    """TimingSpecs with fractional core/bus clock ratios."""
+    return st.builds(
+        lambda bus, extra, **kw: TimingSpec(core_clk_mhz=bus + extra, bus_clk_mhz=bus, **kw),
+        st.integers(1, 400), st.integers(0, 1000),
+        miss_penalty=st.integers(0, 50), wb_penalty=st.integers(0, 40),
+        icache_penalty=st.integers(0, 50), branch_stall=st.integers(0, 3),
+        mem_width=st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans(),
+       seed=st.integers(0, 3), t=_timing_specs())
+def test_account_matches_a_cycle_stepped_bus(flags, rows, flush, seed, t):
+    # The cycle model over the walk's bus transactions, against a bus that
+    # is stepped a core cycle at a time over the reference hierarchy's.
+    h = _build_from(flags, seed, flush)
+    rep = h.run(rows, collect_events=True, clock=lambda: 0.0)
+    b = rep.branches
+    got = account(h.events, t, rep.sim_num_insn, h.ops_executed, h.mem_counts["I"],
+                  h.mem_counts["D"], (b.executed, b.taken, b.not_taken))
+    _, model = _reference(flags, seed, flush)
+    model.feed(rows)
+    assert dataclasses.asdict(got) == ref_cycles(model, t)
+
+
+@st.composite
+def _marker_dense_rows(draw):
+    """Fetches, loads, stores, branches and syscalls with a region marker,
+    often naming the region already active, before nearly every one."""
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.booleans()):
+            rows.append(region(draw(st.sampled_from(["a", "b", "TOTAL"]))))
+        code = draw(st.integers(0, 4))
+        addr = draw(st.integers(0, 1023))
+        if code == 0:
+            rows.append((0, addr, draw(st.integers(1, 3))))
+        elif code in (1, 2):
+            rows.append((code, addr, draw(st.integers(1, 40))))
+        else:
+            rows.append((code, 0, int(code == 3 and draw(st.booleans()))))
+    return rows
+
+
+def _region_vector(r):
+    """A RegionCounters as one flat tuple: record and miss counts, then the
+    six counters of each cache."""
+    return (r.insts, r.ops, r.refs, r.branches.executed, r.branches.taken,
+            r.branches.not_taken, r.i_misses, r.d_misses,
+            *(getattr(c, k) for c in r.caches.values()
+              for k in ("accesses", "hits", "misses", "replacements", "writebacks",
+                        "invalidations")))
+
+
+def _counter_vector(h):
+    """The hierarchy's counters in _region_vector order."""
+    return (h.sim_num_insn, h.ops_executed, h.sim_num_refs,
+            h.taken_branches + h.not_taken_branches, h.taken_branches,
+            h.not_taken_branches, h.mem_counts["I"][2], h.mem_counts["D"][2],
+            *(v for c in h.caches.values()
+              for v in (c.accesses, c.hits, c.misses, c.replacements, c.writebacks,
+                        c.invalidations)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_marker_dense_rows(), args=st.sampled_from(DENSE_CONFIGS), flush=st.booleans())
+def test_a_marker_naming_the_active_region_changes_nothing(rows, args, flush):
+    args = args + ["-flush", "true"] if flush else args
+    active, kept = "TOTAL", []
+    for row in rows:
+        if row[0] == 5:
+            if row[2] == active:
+                continue
+            active = row[2]
+        kept.append(row)
+    rep = build(args).run(rows, clock=lambda: 0.0)
+    assert rep == build(args).run(kept, clock=lambda: 0.0)
+
+    # Per-record counter changes, summed by the region each record ran in
+    # as the markers name it: the named regions are the report's, and with
+    # the stretches in no named region they sum to TOTAL.
+    twin = build(args)
+    active, by_region = "TOTAL", {"TOTAL": [0] * len(_counter_vector(twin))}
+    for row in rows:
+        if row[0] == 5:
+            active = row[2]
+            by_region.setdefault(active, [0] * len(by_region["TOTAL"]))
+        before = _counter_vector(twin)
+        twin.step(row)
+        acc = by_region[active]
+        acc[:] = [x + after - b for x, after, b in zip(acc, _counter_vector(twin), before)]
+    unnamed = by_region.pop("TOTAL")
+    named = {n: _region_vector(r) for n, r in rep.regions.items() if n != "TOTAL"}
+    assert named == {n: tuple(v) for n, v in by_region.items()}
+    assert [sum(col) for col in zip(unnamed, *named.values())] == \
+        list(_region_vector(rep.regions["TOTAL"]))
