@@ -16,7 +16,7 @@ import importlib
 # submodule -> the public names it defines
 _MODULES = {
     "cache": ("AccessOutcome", "Cache", "CacheStats"),
-    "config": ("CacheSpec", "ConfigError", "HierarchySpec", "ReplacementPolicy", "TimingSpec",
+    "config": ("CacheSpec", "ConfigError", "HierarchySpec", "ReplacementPolicy",
                "parse_cache_spec", "parse_hierarchy_args", "parse_vex_cfg"),
     "hierarchy": ("BranchCounts", "Hierarchy", "RegionCounters", "SimReport"),
     "report": ("export", "render_region_profile", "render_simcache", "render_sweep_table",
@@ -24,7 +24,7 @@ _MODULES = {
     "stack": ("DistanceHistogram", "SweepRow", "belady_misses", "block_refs",
               "misses_for_assoc", "stack_distances", "sweep"),
     "timing": ("BranchReport", "CycleReport", "InconsistentCounts", "MemSideReport",
-               "account", "main_memory_latency"),
+               "TimingSpec", "account", "main_memory_latency"),
     "trace": ("TOTAL_REGION", "TraceRecord", "TraceSyntaxError", "branch", "gen_loop",
               "gen_random", "gen_sequential", "inst", "load", "parse_trace",
               "parse_trace_binary", "read_trace_path", "region", "store", "syscall",

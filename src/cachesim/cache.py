@@ -92,10 +92,7 @@ class Cache:
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
         spec.validate().check_size()
-        self.name = spec.name
-        self.nsets = spec.nsets
-        self.bsize = spec.bsize
-        self.assoc = spec.assoc
+        self.name, self.nsets, self.bsize, self.assoc, repl = spec
         # power-of-two geometry makes the block/set/tag split shift/mask work
         self._bshift = spec.bsize.bit_length() - 1
         self._smask = spec.nsets - 1
@@ -103,8 +100,8 @@ class Cache:
         self._sets = [[] for _ in range(spec.nsets)]
         self._filled = []  # the set lists a fill made non-empty since the last flush
         self._dirty = set()
-        self._lru = spec.repl is ReplacementPolicy.LRU
-        self._rand = spec.repl is ReplacementPolicy.RANDOM
+        self._lru = repl is ReplacementPolicy.LRU
+        self._rand = repl is ReplacementPolicy.RANDOM
         self._rng = (seed & _MASK64) or 0x9E3779B97F4A7C15
         self.hits = 0
         self.misses = 0

@@ -10,19 +10,18 @@ cycle-accounting summary whose per-side miss penalties are the main-memory
 latency of one block transfer at that side's memory-boundary cache.
 
 Each command imports the layers it runs, so ``sweep`` loads no hierarchy,
-cache or timing module and ``sim``/``vexsim`` no stack module.
+cache or timing module, nor ``dataclasses``, and ``sim``/``vexsim`` no stack
+module.
 """
 
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 from .config import (
     DEFAULT_HIERARCHY_ARGS,
     ConfigError,
     HierarchySpec,
-    TimingSpec,
     is_pow2,
     parse_hierarchy_args,
     parse_vex_cfg,
@@ -253,8 +252,10 @@ def _cmd_sim(args) -> int:
     opts, (trace_path,) = _parse(
         args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
         ("<trace>",))
+    from dataclasses import replace
+
     from .hierarchy import Hierarchy
-    from .timing import main_memory_latency
+    from .timing import TimingSpec, main_memory_latency
 
     given = {k: opts[k] for k in ("mem_width", "tlb_lat") if k in opts}
     if "mem_lat" in opts:

@@ -8,8 +8,11 @@ Two configuration dialects are supported and normalized into one model:
 * VEX-style ``vex.cfg`` key/value files with lg2-encoded geometry, e.g.
   ``lg2CacheSize 16`` (a 64 KiB cache).
 
-All parses are pure functions over their inputs; the resulting spec
-objects are immutable.  Every bad value raises ``ConfigError`` (a
+All parses are pure functions over their inputs; the resulting specs
+are immutable.  ``CacheSpec`` and ``HierarchySpec`` are named tuples.
+``TimingSpec``, a frozen dataclass, is defined in timing.py and served
+from here on first use, so ``sweep``, which reads no timing, never loads
+``dataclasses``.  Every bad value raises ``ConfigError`` (a
 ``ValueError``) whose message names the problem.  A unified level is
 spelled as the bare name of its data level, ``"dl1"`` or ``"dl2"``, both
 in the flag values and in ``HierarchySpec.il1``/``il2``.
@@ -25,7 +28,7 @@ of them, and an lg2 value over 48, naming the key and its line.
 """
 
 import warnings
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from enum import Enum
 
 
@@ -58,20 +61,16 @@ class ReplacementPolicy(Enum):
     RANDOM = "r"
 
 
-@dataclass(frozen=True)
-class CacheSpec:
-    """Geometry and policy of one cache.
+class CacheSpec(namedtuple("CacheSpec", "name nsets bsize assoc repl")):
+    """Geometry and policy of one cache: its name, then ints ``nsets``,
+    ``bsize`` and ``assoc``, then a ReplacementPolicy.
 
     ``nsets``, ``bsize`` and ``assoc`` must each be powers of two so the
     index/tag split is a shift/mask decomposition.  TLBs reuse this type
     with ``bsize`` read as the page size in bytes.
     """
 
-    name: str
-    nsets: int
-    bsize: int
-    assoc: int
-    repl: ReplacementPolicy
+    __slots__ = ()
 
     def validate(self):
         if not self.name or any(c.isspace() for c in self.name) or ":" in self.name:
@@ -127,25 +126,19 @@ def _bad_unification(name, level, target):
     return ConfigError(f"{name} takes {', '.join(words[:-1])} or {words[-1]}, not {target!r}")
 
 
-@dataclass(frozen=True)
-class HierarchySpec:
-    """Bindings for the two-level split/unified hierarchy plus both TLBs.
+class HierarchySpec(namedtuple("HierarchySpec", (*_LEVELS, "flush_on_syscall"),
+                                defaults=(None,) * len(_LEVELS) + (False,))):
+    """Bindings for the two-level split/unified hierarchy plus both TLBs,
+    each a CacheSpec or None, and the flush-on-syscall flag.
 
     ``il1`` and ``il2`` may also name the data level they are unified
     with, ``"dl1"`` or ``"dl2"``, as the ``-cache:il1``/``-cache:il2``
     flag values do."""
 
-    il1: CacheSpec | str | None = None
-    il2: CacheSpec | str | None = None
-    dl1: CacheSpec | None = None
-    dl2: CacheSpec | None = None
-    itlb: CacheSpec | None = None
-    dtlb: CacheSpec | None = None
-    flush_on_syscall: bool = False
+    __slots__ = ()
 
     def validate(self):
-        bindings = [getattr(self, level) for level in _LEVELS]
-        for level, b in zip(_LEVELS, bindings):
+        for level, b in zip(_LEVELS, self):
             if isinstance(b, str) and b not in _UNIFIABLE.get(level, ()):
                 raise _bad_unification(level, level, b)
         if self.dl2 is not None and self.dl1 is None:
@@ -156,7 +149,7 @@ class HierarchySpec:
                 f"unified with {self.il1}, so fetches never reach il2"
             raise ConfigError(f"il2 is configured but il1 is {il1}")
         names = set()
-        for b in bindings:
+        for b in self:  # the levels, then flush_on_syscall
             if isinstance(b, CacheSpec):
                 b.validate().check_size()
                 if b.name in names:
@@ -217,38 +210,12 @@ def parse_hierarchy_args(args):
                          flush_on_syscall=merged["-flush"] == "true").validate()
 
 
-@dataclass(frozen=True)
-class TimingSpec:
-    """Cycle-model parameters shared by both dialects.
+def __getattr__(name):  # PEP 562: TimingSpec is in timing.py, which sweep never loads
+    if name == "TimingSpec":
+        from .timing import TimingSpec
 
-    Clock frequencies are in MHz; every penalty and latency is in core
-    cycles; ``mem_width`` is bytes moved per bus beat.
-    """
-
-    core_clk_mhz: int = 1
-    bus_clk_mhz: int = 1
-    miss_penalty: int = 0
-    wb_penalty: int = 0
-    icache_penalty: int = 0
-    branch_stall: int = 0
-    tlb_lat: int = 30
-    mem_lat_first: int = 18
-    mem_lat_next: int = 2
-    mem_width: int = 8
-    num_caches: int = 1
-
-    def validate(self):
-        if not (self.core_clk_mhz >= self.bus_clk_mhz > 0):
-            raise ConfigError(
-                f"need core_clk_mhz >= bus_clk_mhz > 0, got "
-                f"{self.core_clk_mhz}/{self.bus_clk_mhz}"
-            )
-        for f in fields(self):
-            if f.name not in ("core_clk_mhz", "bus_clk_mhz", "mem_width") \
-                    and getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be >= 0")
-        _check_pow2("mem_width", self.mem_width)
-        return self
+        return TimingSpec
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # vex.cfg geometry keys: cache name -> (lg2 size, lg2 ways, lg2 line size).
@@ -343,5 +310,7 @@ def parse_vex_cfg(text):
     if core < bus:
         raise ConfigError(f"line {kv['CoreCkFreq'][1]}: need CoreCkFreq >= BusCkFreq "
                           f"(line {kv['BusCkFreq'][1]}), got {core} < {bus}")
+    from .timing import TimingSpec
+
     timing = TimingSpec(**values).validate()
     return dcache, icache, timing

@@ -13,7 +13,6 @@ package reproduces are used as golden anchors in tests; negative zero is
 never rendered.
 """
 
-from dataclasses import asdict
 from decimal import ROUND_HALF_UP, Decimal
 
 from .trace import TOTAL_REGION
@@ -211,7 +210,7 @@ def export(obj, fmt: str) -> str:
     """Serialize losslessly a SimReport, a CycleReport, a dict of such
     reports by name (one combined document), or a list of SweepRows.
 
-    JSON is the dataclass fields (a sweep row without a policy omits it);
+    JSON is the report's or row's fields (a sweep row without a policy omits it);
     CSV is one ``key,value`` line per flattened field, or for sweep rows
     the table ``render_sweep_table`` prints, one row per line."""
     if fmt not in ("csv", "json"):
@@ -223,8 +222,10 @@ def export(obj, fmt: str) -> str:
         if all(isinstance(r, SweepRow) for r in obj):
             if fmt == "csv":
                 return _csv(_sweep_rows(obj, repr))
-            d = [{k: v for k, v in asdict(r).items() if v is not None} for r in obj]
+            d = [{k: v for k, v in r._asdict().items() if v is not None} for r in obj]
     else:
+        from dataclasses import asdict
+
         from .hierarchy import SimReport
         from .timing import CycleReport
 

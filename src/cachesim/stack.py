@@ -18,8 +18,7 @@ reference per distinct block touched.
 """
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 
 
 def block_refs(records, bsize):
@@ -33,8 +32,7 @@ def block_refs(records, bsize):
                 yield from range(first, last + 1)
 
 
-@dataclass
-class DistanceHistogram:
+class DistanceHistogram(namedtuple("DistanceHistogram", "nsets bsize counts cold")):
     """Per-geometry stack-distance counts.
 
     ``counts[d]`` is the number of references that found their block at
@@ -43,10 +41,10 @@ class DistanceHistogram:
     the total number of block references processed.
     """
 
-    nsets: int
-    bsize: int
-    counts: dict = field(default_factory=dict)
-    cold: int = 0
+    __slots__ = ()
+
+    def __new__(cls, nsets, bsize, counts=None, cold=0):  # each gets its own dict
+        return super().__new__(cls, nsets, bsize, {} if counts is None else counts, cold)
 
     @property
     def total(self):
@@ -126,14 +124,12 @@ def misses_for_assoc(hist: DistanceHistogram, assoc: int) -> int:
     return hist.cold + sum(c for d, c in hist.counts.items() if d > assoc)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    nsets: int
-    bsize: int
-    assoc: int
-    misses: int
-    miss_rate: float
-    policy: str | None = None
+class SweepRow(namedtuple("SweepRow", "nsets bsize assoc misses miss_rate policy",
+                          defaults=(None,))):
+    """One sweep result: ints ``nsets``, ``bsize``, ``assoc`` and ``misses``,
+    the float ``miss_rate``, and the policy, ``"lru"``, ``"opt"`` or None."""
+
+    __slots__ = ()
 
 
 def sweep(records, geometries, assocs, opt=False):

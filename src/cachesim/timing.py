@@ -18,13 +18,47 @@ penalty but never stall the core, which is why the data-side stall equals
 exactly misses times the miss penalty when nothing conflicts.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .config import TimingSpec
+from .config import ConfigError, _check_pow2
 
 
 class InconsistentCounts(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class TimingSpec:
+    """Cycle-model parameters shared by both configuration dialects.
+
+    Clock frequencies are in MHz; every penalty and latency is in core
+    cycles; ``mem_width`` is bytes moved per bus beat.
+    """
+
+    core_clk_mhz: int = 1
+    bus_clk_mhz: int = 1
+    miss_penalty: int = 0
+    wb_penalty: int = 0
+    icache_penalty: int = 0
+    branch_stall: int = 0
+    tlb_lat: int = 30
+    mem_lat_first: int = 18
+    mem_lat_next: int = 2
+    mem_width: int = 8
+    num_caches: int = 1
+
+    def validate(self):
+        if not (self.core_clk_mhz >= self.bus_clk_mhz > 0):
+            raise ConfigError(
+                f"need core_clk_mhz >= bus_clk_mhz > 0, got "
+                f"{self.core_clk_mhz}/{self.bus_clk_mhz}"
+            )
+        for f in fields(self):
+            if f.name not in ("core_clk_mhz", "bus_clk_mhz", "mem_width") \
+                    and getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be >= 0")
+        _check_pow2("mem_width", self.mem_width)
+        return self
 
 
 @dataclass(frozen=True)

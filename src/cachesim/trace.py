@@ -117,6 +117,8 @@ def syscall():
 def region(name):
     if not name or any(c.isspace() for c in name) or "#" in name:
         raise ValueError(f"region name must be a single token without '#': {name!r}")
+    if len(name) > 0x3FFF and (n := len(name.encode("utf-8"))) > 0xFFFF:  # <= 4 bytes a char
+        raise ValueError(f"region name is {n} bytes of UTF-8, over the limit of 65535")
     return TraceRecord("R", name=name)
 
 

@@ -341,3 +341,60 @@ def test_timing_validation():
         replace(t, miss_penalty=-1).validate()
     with raises("mem_width must be a power of two >= 1, got 3"):
         replace(t, mem_width=3).validate()
+
+
+# The reprs of the frozen dataclasses these types were before they became
+# named tuples.
+DL1_REPR = "CacheSpec(name='dl1', nsets=256, bsize=32, assoc=1, repl=<ReplacementPolicy.LRU: 'l'>)"
+DEFAULT_HIERARCHY_REPR = (
+    "HierarchySpec(il1=CacheSpec(name='il1', nsets=256, bsize=32, assoc=1, "
+    "repl=<ReplacementPolicy.LRU: 'l'>), il2='dl2', dl1=" + DL1_REPR + ", dl2=CacheSpec("
+    "name='ul2', nsets=1024, bsize=64, assoc=4, repl=<ReplacementPolicy.LRU: 'l'>), "
+    "itlb=CacheSpec(name='itlb', nsets=16, bsize=4096, assoc=4, repl=<ReplacementPolicy.LRU: "
+    "'l'>), dtlb=CacheSpec(name='dtlb', nsets=32, bsize=4096, assoc=4, "
+    "repl=<ReplacementPolicy.LRU: 'l'>), flush_on_syscall=False)")
+
+
+def test_specs_keep_their_repr_construction_hash_and_read_only_fields():
+    lru = ReplacementPolicy.LRU
+    dl1 = parse_cache_spec("dl1:256:32:1:l")
+    assert repr(dl1) == DL1_REPR
+    assert repr(parse_hierarchy_args([])) == DEFAULT_HIERARCHY_REPR
+    assert repr(HierarchySpec()) == ("HierarchySpec(il1=None, il2=None, dl1=None, dl2=None, "
+                                     "itlb=None, dtlb=None, flush_on_syscall=False)")
+    assert dl1 == CacheSpec("dl1", 256, 32, 1, lru) \
+        == CacheSpec(name="dl1", nsets=256, bsize=32, assoc=1, repl=lru)
+    h = HierarchySpec(il1="dl1", dl1=dl1, flush_on_syscall=True)
+    assert h == HierarchySpec("dl1", None, dl1, None, None, None, True)
+    assert (h.il1, h.il2, h.dl1, h.flush_on_syscall) == ("dl1", None, dl1, True)
+    with pytest.raises(TypeError):
+        CacheSpec("dl1", 256, 32, 1)  # every CacheSpec field is required
+    # Named tuples: equal to, and hashed as, the plain tuple of their fields,
+    # which is how the frozen dataclasses hashed.
+    assert dl1 == ("dl1", 256, 32, 1, lru)
+    assert hash(dl1) == hash(("dl1", 256, 32, 1, lru))
+    assert hash(h) == hash(("dl1", None, dl1, None, None, None, True))
+    assert len({dl1, parse_cache_spec("dl1:256:32:1:l"), dl1._replace(assoc=2)}) == 2
+    for spec, field in ((dl1, "nsets"), (dl1, "repl"), (h, "dl1"), (h, "flush_on_syscall")):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, None)
+    with pytest.raises(AttributeError):
+        dl1.extra = 1
+
+
+def test_timing_spec_stays_a_frozen_dataclass():
+    import dataclasses
+
+    from cachesim.timing import TimingSpec
+
+    t = TimingSpec()
+    assert repr(t) == ("TimingSpec(core_clk_mhz=1, bus_clk_mhz=1, miss_penalty=0, "
+                       "wb_penalty=0, icache_penalty=0, branch_stall=0, tlb_lat=30, "
+                       "mem_lat_first=18, mem_lat_next=2, mem_width=8, num_caches=1)")
+    # dataclasses.replace, as the cycle-model benchmark calls it
+    t2 = dataclasses.replace(t, icache_penalty=45, miss_penalty=36, num_caches=2)
+    assert t2 == TimingSpec(1, 1, 36, 0, 45, num_caches=2) != t
+    assert (t2.miss_penalty, t2.icache_penalty, t2.tlb_lat) == (36, 45, 30)
+    assert hash(t2) == hash(TimingSpec(miss_penalty=36, icache_penalty=45, num_caches=2))
+    with pytest.raises(AttributeError):
+        t.miss_penalty = 1

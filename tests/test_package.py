@@ -11,6 +11,7 @@ import pytest
 
 import cachesim
 from cachesim.cli import main
+from cachesim.trace import load, store, write_trace_path
 
 # The public names of the package.
 PUBLIC = """
@@ -80,6 +81,7 @@ CHILD = """\
 import sys
 before = set(sys.modules)
 from cachesim.cli import main
+from cachesim.trace import load, store, write_trace_path
 code = main(sys.argv[1:])
 print(code, *sorted(set(sys.modules) - before))
 """
@@ -112,13 +114,34 @@ def _loaded_by(tmp_path, *argv):
     return set(modules)
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("ext", [".ct", ".ctb"])
-def test_sweep_loads_no_simulation_layer(tmp_path, ext):
-    (tmp_path / f"t{ext}").write_bytes(b"")
+def test_sweep_loads_no_simulation_layer(tmp_path, ext, fmt):
+    # Rows to export, so csv and json serialize sweep rows; neither loads
+    # dataclasses (nor inspect, which it imports).
+    write_trace_path(tmp_path / f"t{ext}", [load(0x1000, 4), load(0x2000, 64), store(0x1000, 1)])
     loaded = _loaded_by(tmp_path, "sweep", "--sets", "1,16", "--bsize", "32",
-                        "--assoc", "1,2", "--opt", "--out", "out.txt", f"t{ext}")
-    assert loaded.isdisjoint(SIM_LAYERS | EXPORT_MODULES)
+                        "--assoc", "1,2", "--opt", "--format", fmt, "--out", "out.txt", f"t{ext}")
+    assert loaded.isdisjoint(SIM_LAYERS | {"dataclasses", "inspect"})
+    assert loaded.isdisjoint(EXPORT_MODULES) == (fmt == "text")
     assert "cachesim.stack" in loaded
+    assert (tmp_path / "out.txt").read_text().count("\n") > 8
+
+
+def test_timing_spec_is_one_class_served_from_three_places():
+    import cachesim.config
+    import cachesim.timing
+
+    assert cachesim.config.TimingSpec is cachesim.timing.TimingSpec is cachesim.TimingSpec
+    with pytest.raises(AttributeError, match="'cachesim.config' has no attribute 'nope'"):
+        cachesim.config.nope
+    # Importing the configuration layer loads neither timing nor dataclasses;
+    # asking it for TimingSpec loads both.
+    code = ("import sys; import cachesim.config as c; "
+            "assert not {'cachesim.timing', 'dataclasses'} & set(sys.modules); "
+            "from cachesim.config import TimingSpec; "
+            "assert TimingSpec is sys.modules['cachesim.timing'].TimingSpec")
+    subprocess.run([sys.executable, "-c", code], env=_env(), check=True, timeout=60)
 
 
 @pytest.mark.parametrize("argv", [

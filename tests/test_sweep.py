@@ -9,6 +9,7 @@ from cachesim import (
     DistanceHistogram,
     Hierarchy,
     HierarchySpec,
+    SweepRow,
     belady_misses,
     block_refs,
     gen_random,
@@ -53,6 +54,34 @@ def test_rows_of_size_zero_or_less_touch_their_block_once():
     h = Hierarchy(HierarchySpec(dl1=parse_cache_spec("dl1:4:32:1:l")))
     h.run(rows, clock=lambda: 0.0)
     assert h.caches["dl1"].accesses == 7
+
+
+def test_rows_and_histograms_keep_their_repr_construction_and_hash():
+    # The reprs are those of the dataclasses these types were.
+    row = SweepRow(64, 32, 1, 100, 0.25)
+    assert repr(row) == ("SweepRow(nsets=64, bsize=32, assoc=1, misses=100, miss_rate=0.25, "
+                         "policy=None)")
+    opt = SweepRow(nsets=64, bsize=32, assoc=1, misses=90, miss_rate=0.225, policy="opt")
+    assert repr(opt) == ("SweepRow(nsets=64, bsize=32, assoc=1, misses=90, miss_rate=0.225, "
+                         "policy='opt')")
+    assert opt == SweepRow(64, 32, 1, 90, 0.225, "opt") != row
+    assert row == (64, 32, 1, 100, 0.25, None)
+    assert hash(row) == hash((64, 32, 1, 100, 0.25, None))
+    assert opt._asdict() == {"nsets": 64, "bsize": 32, "assoc": 1, "misses": 90,
+                             "miss_rate": 0.225, "policy": "opt"}
+    with pytest.raises(AttributeError):
+        row.misses = 1
+
+    empty = DistanceHistogram(1, 32)
+    assert repr(empty) == "DistanceHistogram(nsets=1, bsize=32, counts={}, cold=0)"
+    hist = DistanceHistogram(nsets=1, bsize=32, counts={3: 3}, cold=3)
+    assert repr(hist) == "DistanceHistogram(nsets=1, bsize=32, counts={3: 3}, cold=3)"
+    assert hist == DistanceHistogram(1, 32, {3: 3}, 3) != empty
+    assert empty.counts is not DistanceHistogram(1, 32).counts  # a new dict for each
+    with pytest.raises(TypeError):
+        hash(hist)  # it holds a dict, as the dataclass was unhashable
+    with pytest.raises(AttributeError):
+        hist.cold = 0
 
 
 def test_misses_for_assoc_examples():

@@ -29,6 +29,7 @@ from cachesim import (
     write_trace_binary,
     write_trace_path,
 )
+from cachesim.cli import main
 from cachesim.trace import MAX_ADDR, decode_binary, decode_text, read_rows
 
 
@@ -256,10 +257,12 @@ def test_binary_writer_refuses_what_ctb_cannot_hold():
     longest = "n" * 0xFFFF
     records = [load(0, 0xFFFF), inst(0, 0xFFFF), region(longest)]
     assert list(parse_trace_binary(write_trace_binary(records))) == records
-    for rows in ([load(0, 70000)], [(0, 0, 1), (0, 0, 0x10000)],
-                 [branch(True), region("\u00e9" * 0x8000)]):  # 65,536 bytes of UTF-8
+    for rows in ([load(0, 70000)], [(0, 0, 1), (0, 0, 0x10000)]):
         with pytest.raises(ValueError, match=f"^record {len(rows)}: .* 0 to 65535 "):
             write_trace_binary(rows)
+    with pytest.raises(ValueError, match="^record 2: region name is 65536 bytes of UTF-8, "
+                                         "over the limit of 65535$"):
+        write_trace_binary([branch(True), (5, 0, "\u00e9" * 0x8000)])
     with pytest.raises(ValueError, match="^record 2: region name must be a single token"):
         write_trace_binary([syscall(), (5, 0, "a b")])
 
@@ -282,6 +285,46 @@ def test_region_name_validation():
         region("")
     with pytest.raises(ValueError):
         write_trace([TraceRecord("R", name="has space")])
+
+
+# Names of 65,535 and 65,536 bytes of UTF-8, in characters of one to four
+# bytes.  Each has over 16,383 characters, so region() encodes it to count.
+LONGEST_NAMES = ["n" * 0xFFFF, "\u00e9" * 0x7FFF + "n", "\u20ac" * 0x5555,
+                 "\U0001d11e" * 0x3FFF + "nnn"]
+TOO_LONG_NAMES = ["n" * 0x10000, "\u00e9" * 0x8000, "\u20ac" * 0x5555 + "n",
+                  "\U0001d11e" * 0x4000]
+CHAR_WIDTHS = ["1-byte", "2-byte", "3-byte", "4-byte"]
+
+
+@pytest.mark.parametrize("name", LONGEST_NAMES, ids=CHAR_WIDTHS)
+def test_ct_and_ctb_both_hold_a_name_of_65535_bytes(tmp_path, name):
+    assert len(name.encode("utf-8")) == 0xFFFF
+    rows = [syscall(), region(name), inst(0x40)]
+    (tmp_path / "t.ct").write_text(write_trace(rows), encoding="utf-8")
+    write_trace_path(tmp_path / "t.ctb", rows)
+    for ext in (".ct", ".ctb"):
+        assert list(read_rows(tmp_path / f"t{ext}")) == rows
+    assert list(parse_trace_binary(write_trace_binary(rows))) == rows
+
+
+@pytest.mark.parametrize("name", TOO_LONG_NAMES, ids=CHAR_WIDTHS)
+def test_ct_and_ctb_both_refuse_a_name_of_65536_bytes(tmp_path, capsys, name):
+    assert len(name.encode("utf-8")) == 0x10000
+    message = "region name is 65536 bytes of UTF-8, over the limit of 65535"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        region(name)
+    # A .ct line holds the name, and its reader and sim refuse it; a .ctb
+    # record cannot, and both writers refuse it.
+    ct = tmp_path / "t.ct"
+    ct.write_text(f"Y\nR {name}\nI 40\n", encoding="utf-8")
+    with pytest.raises(TraceSyntaxError, match=f"^trace line 2: {message}$"):
+        list(read_rows(ct))
+    assert main(["sim", "--clock", "1", str(ct)]) == 2
+    assert capsys.readouterr().err == f"error: trace line 2: {message}\n"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_trace([syscall(), (5, 0, name)])
+    with pytest.raises(ValueError, match=f"^record 2: {message}$"):
+        write_trace_binary([syscall(), (5, 0, name)])
 
 
 def test_gen_sequential():
