@@ -13,18 +13,27 @@ package reproduces are used as golden anchors in tests; negative zero is
 never rendered.
 """
 
-from decimal import ROUND_HALF_UP, Decimal
-
 from .trace import TOTAL_REGION
 
 
 def fixed(value, places):
-    """Render a number with a fixed decimal count, rounding half-up."""
-    q = Decimal(1).scaleb(-places)
-    d = Decimal(repr(float(value))).quantize(q, rounding=ROUND_HALF_UP)
-    if d == 0:
-        d = abs(d)
-    return f"{d:.{places}f}"
+    """Render a number with a fixed decimal count, rounding the shortest
+    ``repr`` of its float half-up (away from zero) in integer arithmetic."""
+    text = repr(float(value))
+    if text[-1] in "fn":  # inf, nan
+        raise ValueError(f"cannot render {text} with fixed decimals")
+    mant, _, exp = text.lstrip("-").partition("e")
+    whole, _, frac = mant.partition(".")
+    q = int(whole + frac)  # |value| * 10**places is q / 10**shift
+    shift = len(frac) - int(exp or 0) - places
+    if shift > 0:
+        q, rest = divmod(q, 10**shift)
+        q += 2 * rest >= 10**shift
+    else:
+        q *= 10**-shift
+    digits = str(q).rjust(places + 1, "0")
+    sign = "-" if q and text[0] == "-" else ""  # never a negative zero
+    return sign + (f"{digits[:-places]}.{digits[-places:]}" if places else digits)
 
 
 def pct(numer, denom):

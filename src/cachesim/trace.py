@@ -30,18 +30,25 @@ rest of the last line), decodes each chunk's UTF-8 once and splits it on
 ``"\\n"``, the only line end, so its memory is one chunk, not the file.  A
 byte that is not UTF-8 is named by its line: the lines before it yield
 their rows, then a TraceSyntaxError gives its line number and the
-decoder's reason.  ``decode_binary`` reads a ``.ctb`` file in
-chunks of ``_CHUNK`` bytes (whole records) and runs
-``struct.iter_unpack`` over each stretch of fixed records; it restarts
-after each region name, carries a partial record over to the next chunk
-and reads the rest of a name that runs past its chunk from the file, so
-its memory is one chunk and one name, not the file.  ``parse_trace``,
+decoder's reason.  ``decode_binary`` reads a ``.ctb`` file in chunks of
+``_CHUNK`` bytes and passes on runs of plain records, those whose row is
+the tuple ``struct.iter_unpack`` gives them, with no Python frame per
+record: one match of the compiled ``_PLAIN_RECORDS`` pattern finds a run
+(of at most ``_RUN`` bytes, as the match's memory grows with its run),
+and ``iter_unpack`` over it yields the rows.  Every other record, a
+region marker, a record in error or a rare valid one such as a B record
+whose address field is not 0, takes the per-record path ``_record``,
+which yields its row or raises its TraceSyntaxError.  A partial record
+is carried over to the next chunk and the rest of a name that runs past
+its chunk is read from the file, so the memory is one chunk and one
+name, not the file.  ``parse_trace``,
 ``parse_trace_binary`` and ``read_trace_path`` wrap them to yield
 TraceRecords; ``read_rows`` opens a file of either format as rows,
 holding it open from the first row asked for to the last, or until dropped.
 """
 
 import io
+import re
 import struct
 from functools import partial
 from itertools import chain
@@ -85,7 +92,7 @@ class TraceRecord(tuple):
     addr = property(lambda r: r[1], doc="Address; 0 for B, Y and R.")
     size = property(lambda r: r[2] if r[0] in (1, 2) else 0, doc="Bytes touched, L/S only.")
     ops = property(lambda r: r[2] if r[0] == 0 else 1, doc="Operation count, I only.")
-    taken = property(lambda r: r[2] if r[0] == 3 else False, doc="B only.")
+    taken = property(lambda r: r[0] == 3 and bool(r[2]), doc="B only; a .ctb row holds 0 or 1.")
     name = property(lambda r: r[2] if r[0] == 5 else "", doc="R only.")
 
 
@@ -117,8 +124,12 @@ def syscall():
 def region(name):
     if not name or any(c.isspace() for c in name) or "#" in name:
         raise ValueError(f"region name must be a single token without '#': {name!r}")
-    if len(name) > 0x3FFF and (n := len(name.encode("utf-8"))) > 0xFFFF:  # <= 4 bytes a char
-        raise ValueError(f"region name is {n} bytes of UTF-8, over the limit of 65535")
+    try:
+        size = len(name) if name.isascii() else len(name.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 trace can hold
+        raise ValueError(f"region name is not encodable as UTF-8: {name!r}") from None
+    if size > 0xFFFF:
+        raise ValueError(f"region name is {size} bytes of UTF-8, over the limit of 65535")
     return TraceRecord("R", name=name)
 
 
@@ -252,6 +263,7 @@ def write_trace(records):
 
 _REC = struct.Struct("<BQH")
 _CHUNK = _REC.size * 8192  # bytes per .ctb read, about 88 KiB
+_RUN = _REC.size * 256  # bytes per _PLAIN_RECORDS match, whose stack grows with its run
 _TEXT_CHUNK = 4096  # bytes per .ct read, before the rest of its last line
 
 
@@ -280,55 +292,83 @@ def write_trace_binary(records):
     return b"".join(chunks)
 
 
+# Runs of plain .ctb records: those whose row is the tuple iter_unpack gives
+# them.  I: op count >= 1.  L/S: size >= 1 and an address whose top byte is
+# not 0xFF, so the access cannot run past the address space.  B: address 0
+# and flag 0 or 1.  Y: every field 0.  Flat alternatives match faster than
+# nested groups.
+_PLAIN_RECORDS = re.compile(
+    rb"(?:\x00.{8}[^\x00].|\x00.{9}[^\x00]"
+    rb"|[\x01\x02].{7}[^\xff][^\x00].|[\x01\x02].{7}[^\xff]\x00[^\x00]"
+    rb"|\x03\x00{8}[\x00\x01]\x00|\x04\x00{10})*", re.S)
+
+
 def decode_binary(fh):
     """Yield rows from a binary file object, read ``_CHUNK`` bytes at a time;
     errors carry the 1-based record ordinal."""
+    return chain.from_iterable(_binary_stretches(fh))
+
+
+def _binary_stretches(fh):
+    """Iterables of rows, in order, from a binary file object: one
+    ``iter_unpack`` per run of plain records, and a one-row tuple for each
+    record between runs."""
     rec = _REC.size
     n = 0  # records decoded
     buf = b""  # bytes not yet decoded: a partial record
     while data := fh.read(_CHUNK):
         buf += data
         off = 0
-        while True:  # one iter_unpack per stretch of fixed records
-            first = n
-            whole = off + (len(buf) - off) // rec * rec
-            for code, addr, val in _REC.iter_unpack(memoryview(buf)[off:whole]):
+        while len(buf) - off >= rec:  # a whole record left
+            stop = off + _RUN
+            end = _PLAIN_RECORDS.match(buf, off, stop).end()
+            if end > off:
+                yield _REC.iter_unpack(memoryview(buf)[off:end])
+                n += (end - off) // rec
+                off = end
+            if off < stop and len(buf) - off >= rec:  # a record that is not plain
                 n += 1
-                if code == 1 or code == 2:
-                    if val < 1 or addr + val > _ADDR_END:
-                        _checked(n, load, addr, val)  # raises
-                    yield (code, addr, val)
-                elif code == 0:
-                    if val < 1:
-                        _checked(n, inst, addr, val)  # raises
-                    yield (0, addr, val)
-                elif code == 3:
-                    if val > 1:
-                        raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
-                    yield _TAKEN if val else _NOT_TAKEN
-                elif code == 4:
-                    yield _SYSCALL
-                elif code == 5:
-                    break
-                else:
-                    raise TraceSyntaxError(n, f"unknown kind code {code}")
-            else:
-                off = whole
-                break
-            # A region record: its name's val bytes follow the fixed part.
-            at = off + (n - first) * rec
-            name = buf[at:at + val]
-            if len(name) < val:
-                # One read finishes the name: read_rows' buffered file and
-                # parse_trace_binary's BytesIO read short only at end of file.
-                name += fh.read(val - len(name))
-                if len(name) < val:
-                    raise TraceSyntaxError(n, "truncated region name")
-            yield _checked(n, lambda name: region(name.decode("utf-8")), name)
-            off = min(at + val, len(buf))
+                row, off = _record(fh, buf, off, n)
+                yield (row,)
         buf = buf[off:]
     if buf:
         raise TraceSyntaxError(n + 1, "truncated record")
+
+
+def _record(fh, buf, at, n):
+    """The row of record ``n``, which starts at ``buf[at]`` and is not plain,
+    and the offset in ``buf`` past it.  It is a region marker, a record in
+    error (raised as TraceSyntaxError) or a rare valid one, such as a B
+    record whose address field is not 0."""
+    code, addr, val = _REC.unpack_from(buf, at)
+    at += _REC.size
+    if code == 5:  # a region record: its name's val bytes follow the fixed part
+        name = buf[at:at + val]
+        if len(name) < val:
+            # One read finishes the name: read_rows' buffered file and
+            # parse_trace_binary's BytesIO read short only at end of file.
+            name += fh.read(val - len(name))
+            if len(name) < val:
+                raise TraceSyntaxError(n, "truncated region name")
+        try:
+            return region(name.decode("utf-8")), min(at + val, len(buf))
+        except ValueError as exc:  # not UTF-8, or not a region name
+            raise TraceSyntaxError(n, str(exc)) from None
+    if code == 1 or code == 2:
+        if val < 1 or addr + val > _ADDR_END:
+            _checked(n, load, addr, val)  # raises
+        return (code, addr, val), at
+    if code == 0:
+        if val < 1:
+            _checked(n, inst, addr, val)  # raises
+        return (0, addr, val), at
+    if code == 3:
+        if val > 1:
+            raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
+        return (_TAKEN if val else _NOT_TAKEN), at
+    if code == 4:
+        return _SYSCALL, at
+    raise TraceSyntaxError(n, f"unknown kind code {code}")
 
 
 _as_record = partial(tuple.__new__, TraceRecord)
@@ -355,7 +395,7 @@ def read_rows(path):
     def opened():
         with open(path, "rb") as fh:
             if str(path).endswith(".ctb"):
-                yield decode_binary(fh)
+                yield from _binary_stretches(fh)
                 return
             line_no = 1  # of the chunk's first line
             while data := fh.read(_TEXT_CHUNK) + fh.readline():  # whole lines
@@ -377,12 +417,14 @@ def read_trace_path(path):
 
 
 def write_trace_path(path, records):
+    """Write records (or rows) as a .ct or .ctb file.  They are rendered
+    before the file opens, so a record that fails leaves the file as it was."""
     if str(path).endswith(".ctb"):
-        with open(path, "wb") as fh:
-            fh.write(write_trace_binary(records))
+        data = write_trace_binary(records)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(write_trace(records))
+        data = write_trace(records).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 # Trace generators.  All produce single-byte loads, so each record touches

@@ -8,12 +8,14 @@ call, so it never settles a reference in place.  Its random policy keeps
 the list in way order and draws victims from its own xorshift64*
 generator, written from the generator's definition.  ``RefBus`` steps the
 memory bus one core cycle at a time where the package's cycle model adds
-up ceilings.  The other oracles search for victims way by way or
+up ceilings.  ``decimal_fixed`` rounds with the decimal module where the
+package's ``report.fixed`` uses integer arithmetic.  The other oracles search for victims way by way or
 exhaustively, and the trace parsers here are written on their own.
 """
 
 import struct
 import zlib
+from decimal import ROUND_HALF_UP, Decimal
 
 from cachesim import (
     Cache,
@@ -530,3 +532,14 @@ def _utf8_lines(raw_lines):
             yield raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TraceSyntaxError(line_no, f"not valid UTF-8: {exc.reason}") from None
+
+
+def decimal_fixed(value, places):
+    """``value`` with ``places`` decimals: its shortest repr quantized half-up
+    by the decimal module.  Raises decimal.InvalidOperation once the
+    quantized value needs more than 28 digits."""
+    q = Decimal(1).scaleb(-places)
+    d = Decimal(repr(float(value))).quantize(q, rounding=ROUND_HALF_UP)
+    if d == 0:
+        d = abs(d)
+    return f"{d:.{places}f}"

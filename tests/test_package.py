@@ -118,11 +118,11 @@ def _loaded_by(tmp_path, *argv):
 @pytest.mark.parametrize("ext", [".ct", ".ctb"])
 def test_sweep_loads_no_simulation_layer(tmp_path, ext, fmt):
     # Rows to export, so csv and json serialize sweep rows; neither loads
-    # dataclasses (nor inspect, which it imports).
+    # dataclasses (nor inspect, which it imports), and no rate loads decimal.
     write_trace_path(tmp_path / f"t{ext}", [load(0x1000, 4), load(0x2000, 64), store(0x1000, 1)])
     loaded = _loaded_by(tmp_path, "sweep", "--sets", "1,16", "--bsize", "32",
                         "--assoc", "1,2", "--opt", "--format", fmt, "--out", "out.txt", f"t{ext}")
-    assert loaded.isdisjoint(SIM_LAYERS | {"dataclasses", "inspect"})
+    assert loaded.isdisjoint(SIM_LAYERS | {"dataclasses", "inspect", "decimal"})
     assert loaded.isdisjoint(EXPORT_MODULES) == (fmt == "text")
     assert "cachesim.stack" in loaded
     assert (tmp_path / "out.txt").read_text().count("\n") > 8
@@ -154,4 +154,4 @@ def test_text_simulation_loads_no_stack_module_or_exporter(tmp_path, argv):
     (tmp_path / "vex.cfg").write_text(VEX_CFG)
     loaded = _loaded_by(tmp_path, *argv)
     assert SIM_LAYERS <= loaded
-    assert loaded.isdisjoint({"cachesim.stack", "cachesim.sweep"} | EXPORT_MODULES)
+    assert loaded.isdisjoint({"cachesim.stack", "cachesim.sweep", "decimal"} | EXPORT_MODULES)

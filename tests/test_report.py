@@ -1,8 +1,13 @@
 import json
 import random
 import re
+from decimal import InvalidOperation
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import reference
 
 from cachesim import (
     BranchCounts,
@@ -27,6 +32,7 @@ from cachesim import (
     render_vex_summary,
     store,
 )
+from cachesim.report import fixed
 
 FIG_CYCLES = CycleReport(
     total_cycles=8751,
@@ -117,6 +123,37 @@ def test_rendered_rates_reparse_at_precision():
     assert got == 0.0616
     rate_line = re.search(r"sim_inst_rate\s+([0-9.]+)", text).group(1)
     assert float(rate_line) == 7064.0 and rate_line == "7064.0000"
+
+
+# Floats the reports render: rates, percentages and milliseconds, ties at
+# every rendered precision (x.xx5, x.xxxxx5) and anything finite.
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6),
+    st.builds(lambda n, k: n / 10**k, st.integers(-10**9, 10**9), st.integers(0, 9)),
+    st.builds(lambda n, k: (2 * n + 1) / (2 * 10**k), st.integers(-10**7, 10**7),
+              st.integers(0, 7)),
+)
+
+
+@given(value=_FLOATS, places=st.sampled_from([0, 2, 4, 6]))
+def test_fixed_matches_the_decimal_formula(value, places):
+    try:
+        want = reference.decimal_fixed(value, places)
+    except InvalidOperation:  # more than 28 digits, past every rendered figure
+        assume(False)
+    assert fixed(value, places) == want
+
+
+def test_fixed_rounds_half_up_and_never_renders_negative_zero():
+    assert [fixed(v, 2) for v in (0.005, 0.015, 2.675, -2.675, 99.995, -0.001, -0.0)] == \
+        ["0.01", "0.02", "2.68", "-2.68", "100.00", "0.00", "0.00"]
+    assert fixed(7064, 4) == "7064.0000" and fixed(2.5, 0) == "3" and fixed(1e-7, 6) == "0.000000"
+    # The decimal formula raised InvalidOperation past 28 digits; these are exact.
+    assert fixed(1e30, 2) == "1" + "0" * 30 + ".00" and fixed(-1.5e-300, 6) == "0.000000"
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="cannot render"):
+            fixed(bad, 2)
 
 
 def test_vex_summary_golden_anchors():

@@ -150,6 +150,23 @@ def test_reading_a_text_trace_holds_one_small_chunk(tmp_path):
     assert peak < 256 * 1024, peak
 
 
+def test_reading_a_binary_trace_holds_one_chunk(tmp_path):
+    # 3.3 MB of records; markers split the runs of plain records.
+    p = tmp_path / "t.ctb"
+    p.write_bytes(write_trace_binary(
+        [inst(0x400000, 3), load(0x7fff0, 4), branch(True), store(0x7fff8, 8), region("f")]
+        * 60_000))
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in read_rows(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 300_000
+    # A read of _CHUNK (88 KiB), its copy after the carried bytes, one match's stack.
+    assert peak < 256 * 1024, peak
+
+
 @pytest.mark.parametrize("ext", [".ct", ".ctb"])
 def test_read_rows_holds_its_file_open_only_while_rows_are_read(tmp_path, monkeypatch, ext):
     records = [load(0x40 * i, 4) for i in range(3)]
@@ -244,6 +261,10 @@ def test_binary_branch_flag_is_0_or_1():
     # error naming the record, not a not-taken branch.
     good = write_trace_binary([syscall(), branch(True), branch(False)])
     assert list(parse_trace_binary(good)) == [syscall(), branch(True), branch(False)]
+    # The rows hold the flag as 0 or 1, as unpacked; a TraceRecord's taken is a bool.
+    assert [type(r[2]) for r in decode_binary(io.BytesIO(good))] == [int, int, int]
+    assert [r.taken for r in parse_trace_binary(good)] == [False, True, False]
+    assert all(type(r.taken) is bool for r in parse_trace_binary(good))
     for val in (2, 7, 0xFFFF):
         data = good[:-2] + val.to_bytes(2, "little")
         for parse in (parse_trace_binary, reference.parse_trace_binary):
@@ -285,6 +306,24 @@ def test_region_name_validation():
         region("")
     with pytest.raises(ValueError):
         write_trace([TraceRecord("R", name="has space")])
+
+
+@pytest.mark.parametrize("ext", [".ct", ".ctb"])
+def test_a_name_utf8_cannot_hold_is_refused_and_the_file_kept(tmp_path, ext):
+    # A lone surrogate has no UTF-8 form, so no trace file can hold it.
+    message = r"region name is not encodable as UTF-8: 'a\\ud800b'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        region("a\ud800b")
+    region("caf\u00e9\U0001d11e")  # any other character is held
+    p = tmp_path / f"t{ext}"
+    write_trace_path(p, [inst(0x40)])
+    kept = p.read_bytes()
+    with pytest.raises(ValueError, match=message):
+        write_trace_path(p, [syscall(), (5, 0, "a\ud800b")])
+    assert p.read_bytes() == kept  # rendered before the file opened
+    with pytest.raises(ValueError, match=message):
+        write_trace_path(tmp_path / f"new{ext}", [(5, 0, "a\ud800b")])
+    assert not (tmp_path / f"new{ext}").exists()
 
 
 # Names of 65,535 and 65,536 bytes of UTF-8, in characters of one to four
@@ -498,3 +537,63 @@ def test_decoders_match_oracles_on_mutated_files(scratch_dir, records, data, chu
             mp.setattr(trace, "_CHUNK", chunk)
             mp.setattr(trace, "_TEXT_CHUNK", text_chunk)
             assert _outcome(read_rows(path)) == _outcome(reference.read_trace_path(path))
+
+
+# .ctb records drawn field by field, valid or not: kind codes past R, B and Y
+# records with fields other than 0, addresses whose top byte is 0xFF, and
+# region names that are not UTF-8 or whose length runs past what follows.
+_CODES = st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 255])
+_RAW_ADDRS = st.one_of(st.just(0), st.integers(0, MAX_ADDR), st.integers(0xFF << 56, MAX_ADDR),
+                       st.just(MAX_ADDR))
+_RAW_ARGS = st.one_of(st.sampled_from([0, 1, 2, 0xFFFF]), st.integers(0, 0xFFFF))
+_NAMES = st.one_of(st.sampled_from(["main", "TOTAL", "caf\u00e9", "a b", "#"]).map(str.encode),
+                   st.binary(max_size=6))
+
+
+@st.composite
+def _raw_ctb(draw):
+    out = []
+    for code in draw(st.lists(_CODES, max_size=40)):
+        addr, arg = draw(_RAW_ADDRS), draw(_RAW_ARGS)
+        if code == 5:
+            name = draw(_NAMES)
+            out.append(trace._REC.pack(5, addr, len(name) + draw(st.sampled_from([0, 0, 0, 1, 9])))
+                       + name)
+        else:
+            out.append(trace._REC.pack(code, addr, arg))
+    return b"".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=_raw_ctb(), chunk=st.one_of(_READ_SIZES, st.just(trace._CHUNK)),
+       run=st.integers(1, 6))
+def test_binary_decoders_match_the_oracle_on_drawn_records(scratch_dir, blob, chunk, run):
+    path = scratch_dir / "raw.ctb"
+    path.write_bytes(blob)
+    want = _outcome(reference.read_trace_path(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_CHUNK", chunk)
+        mp.setattr(trace, "_RUN", trace._REC.size * run)  # runs split inside a read too
+        assert _outcome(read_rows(path)) == want
+        assert _outcome(decode_binary(io.BytesIO(blob))) == want
+
+
+@pytest.mark.parametrize("run", [2, 256])
+@pytest.mark.parametrize("chunk", [1, 7, 33, trace._CHUNK])
+def test_plain_records_never_take_the_per_record_path(monkeypatch, chunk, run):
+    # Runs of 360 plain records fill a whole match window, and short ones.
+    plain = [inst(0x400000), inst(MAX_ADDR, 0xFFFF), load(0x7fff0, 4), store(0xFEFF << 48, 0xFFFF),
+             load(MAX_ADDR >> 8, 0x100), branch(True), branch(False), syscall(), store(0, 1)]
+    rows = (plain * 40 + [region("f")] + plain + [region("caf\u00e9"), region("g")]) * 3
+    marker, calls = trace._record, []
+
+    def markers_only(fh, buf, at, n):
+        assert buf[at] == 5, f"record {n} (kind code {buf[at]}) left its run"
+        calls.append(n)
+        return marker(fh, buf, at, n)
+
+    monkeypatch.setattr(trace, "_record", markers_only)
+    monkeypatch.setattr(trace, "_CHUNK", chunk)
+    monkeypatch.setattr(trace, "_RUN", trace._REC.size * run)
+    assert list(decode_binary(io.BytesIO(write_trace_binary(rows)))) == rows
+    assert calls == [n for n, row in enumerate(rows, 1) if row[0] == 5]
