@@ -17,10 +17,13 @@ record's 2-byte field is 1 for taken and 0 for not taken.
 
 In memory a record is one row, a 3-tuple ``(code, addr, arg)``: the kind
 code as in ``.ctb``, the address (0 for B, Y and R) and one argument,
-the op count (I), the size in bytes (L, S), the taken flag (B), 0 (Y) or
-the region name (R).  ``TraceRecord`` is a tuple subclass whose items
-are that row, so whatever walks a trace (``for code, addr, arg in
-records``) takes decoder rows and TraceRecords alike.
+the op count (I), the size in bytes (L, S), the taken flag 1 or 0 (B),
+0 (Y) or the region name (R).  ``TraceRecord(row)``, the only way to
+build a TraceRecord, is a read-only view of a row: a tuple subclass
+whose items are the row, so whatever walks a trace (``for code, addr,
+arg in records``) takes decoder rows and TraceRecords alike.  The
+constructors ``inst``, ``load``, ``store``, ``branch``, ``syscall`` and
+``region`` hold every rule a record keeps and return the view of its row.
 
 Each format has one decoder that yields rows.  ``decode_text`` takes
 text lines one at a time; it tests the fields of a line inline and calls
@@ -38,19 +41,19 @@ record: one match of the compiled ``_PLAIN_RECORDS`` pattern finds a run
 and ``iter_unpack`` over it yields the rows.  Every other record, a
 region marker, a record in error or a rare valid one such as a B record
 whose address field is not 0, takes the per-record path ``_record``,
-which yields its row or raises its TraceSyntaxError.  A partial record
+which yields its row or raises its TraceSyntaxError; an I, L or S record
+there is checked by ``inst``, ``load`` or ``store``.  A partial record
 is carried over to the next chunk and the rest of a name that runs past
 its chunk is read from the file, so the memory is one chunk and one
-name, not the file.  ``parse_trace``,
-``parse_trace_binary`` and ``read_trace_path`` wrap them to yield
-TraceRecords; ``read_rows`` opens a file of either format as rows,
-holding it open from the first row asked for to the last, or until dropped.
+name, not the file.  ``parse_trace``, ``parse_trace_binary`` and
+``read_trace_path`` map ``TraceRecord`` over them; ``read_rows`` opens a
+file of either format as rows, holding it open from the first row asked
+for to the last, or until dropped.
 """
 
 import io
 import re
 import struct
-from functools import partial
 from itertools import chain
 
 MAX_ADDR = 2**64 - 1
@@ -58,7 +61,6 @@ TOTAL_REGION = "TOTAL"  # the region of the whole run; ``R TOTAL`` ends a named 
 _ADDR_END = MAX_ADDR + 1  # an access of size s at a fits when a + s <= _ADDR_END
 
 _KINDS = "ILSBYR"  # kind letter by code
-_KIND_CODES = {k: code for code, k in enumerate(_KINDS)}
 
 
 class TraceSyntaxError(ValueError):
@@ -69,30 +71,21 @@ class TraceSyntaxError(ValueError):
 
 
 class TraceRecord(tuple):
-    """One trace event, whose items are its row ``(code, addr, arg)``.
+    """One trace event: a read-only view of its row ``(code, addr, arg)``.
 
-    Built from the kind letter and the fields that kind uses, e.g.
-    ``TraceRecord("L", addr=0x10, size=4)``; the fields read back as
-    properties, with the constructor's defaults for the fields a kind does
-    not use.
+    ``TraceRecord(row)`` is the only way to build one; the constructors
+    below check a record's fields and return the view of its row.  The
+    fields read back as properties, with defaults for the fields a kind
+    does not use.
     """
 
     __slots__ = ()
-
-    def __new__(cls, kind, addr=0, size=0, ops=1, taken=False, name=""):
-        code = _KIND_CODES.get(kind)
-        if code is None:
-            raise ValueError(f"unknown record kind {kind!r}")
-        return tuple.__new__(cls, (code, addr, (ops, size, size, bool(taken), 0, name)[code]))
-
-    def __getnewargs__(self):  # copy and pickle rebuild through __new__
-        return self.kind, self.addr, self.size, self.ops, self.taken, self.name
 
     kind = property(lambda r: _KINDS[r[0]], doc='"I", "L", "S", "B", "Y" or "R".')
     addr = property(lambda r: r[1], doc="Address; 0 for B, Y and R.")
     size = property(lambda r: r[2] if r[0] in (1, 2) else 0, doc="Bytes touched, L/S only.")
     ops = property(lambda r: r[2] if r[0] == 0 else 1, doc="Operation count, I only.")
-    taken = property(lambda r: r[0] == 3 and bool(r[2]), doc="B only; a .ctb row holds 0 or 1.")
+    taken = property(lambda r: r[0] == 3 and bool(r[2]), doc="B only; the row holds 0 or 1.")
     name = property(lambda r: r[2] if r[0] == 5 else "", doc="R only.")
 
 
@@ -100,29 +93,29 @@ def inst(addr, ops=1):
     _check_addr(addr)
     if ops < 1:
         raise ValueError(f"ops must be >= 1, got {ops}")
-    return TraceRecord("I", addr=addr, ops=ops)
+    return TraceRecord((0, addr, ops))
 
 
 def load(addr, size):
     _check_span(addr, size)
-    return TraceRecord("L", addr=addr, size=size)
+    return TraceRecord((1, addr, size))
 
 
 def store(addr, size):
     _check_span(addr, size)
-    return TraceRecord("S", addr=addr, size=size)
+    return TraceRecord((2, addr, size))
 
 
 def branch(taken):
-    return TraceRecord("B", taken=bool(taken))
+    return TraceRecord((3, 0, 1 if taken else 0))
 
 
 def syscall():
-    return TraceRecord("Y")
+    return TraceRecord((4, 0, 0))
 
 
 def region(name):
-    if not name or any(c.isspace() for c in name) or "#" in name:
+    if name.split() != [name] or "#" in name:
         raise ValueError(f"region name must be a single token without '#': {name!r}")
     try:
         size = len(name) if name.isascii() else len(name.encode("utf-8"))
@@ -130,7 +123,7 @@ def region(name):
         raise ValueError(f"region name is not encodable as UTF-8: {name!r}") from None
     if size > 0xFFFF:
         raise ValueError(f"region name is {size} bytes of UTF-8, over the limit of 65535")
-    return TraceRecord("R", name=name)
+    return TraceRecord((5, 0, name))
 
 
 def _check_addr(addr):
@@ -339,7 +332,8 @@ def _record(fh, buf, at, n):
     """The row of record ``n``, which starts at ``buf[at]`` and is not plain,
     and the offset in ``buf`` past it.  It is a region marker, a record in
     error (raised as TraceSyntaxError) or a rare valid one, such as a B
-    record whose address field is not 0."""
+    record whose address field is not 0.  An I, L or S record is checked
+    by its constructor, whose message names the fault."""
     code, addr, val = _REC.unpack_from(buf, at)
     at += _REC.size
     if code == 5:  # a region record: its name's val bytes follow the fixed part
@@ -354,14 +348,8 @@ def _record(fh, buf, at, n):
             return region(name.decode("utf-8")), min(at + val, len(buf))
         except ValueError as exc:  # not UTF-8, or not a region name
             raise TraceSyntaxError(n, str(exc)) from None
-    if code == 1 or code == 2:
-        if val < 1 or addr + val > _ADDR_END:
-            _checked(n, load, addr, val)  # raises
-        return (code, addr, val), at
-    if code == 0:
-        if val < 1:
-            _checked(n, inst, addr, val)  # raises
-        return (0, addr, val), at
+    if code <= 2:
+        return _checked(n, (inst, load, store)[code], addr, val), at
     if code == 3:
         if val > 1:
             raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
@@ -371,21 +359,18 @@ def _record(fh, buf, at, n):
     raise TraceSyntaxError(n, f"unknown kind code {code}")
 
 
-_as_record = partial(tuple.__new__, TraceRecord)
-
-
 def parse_trace(lines):
     """Yield TraceRecords from an iterable of text lines.
 
     Raises TraceSyntaxError carrying the 1-based line number on any
     malformed record.
     """
-    return map(_as_record, decode_text(lines))
+    return map(TraceRecord, decode_text(lines))
 
 
 def parse_trace_binary(data):
     """Yield TraceRecords from .ctb bytes; errors carry the record ordinal."""
-    return map(_as_record, decode_binary(io.BytesIO(data)))
+    return map(TraceRecord, decode_binary(io.BytesIO(data)))
 
 
 def read_rows(path):
@@ -413,7 +398,7 @@ def read_rows(path):
 
 def read_trace_path(path):
     """Open a .ct or .ctb trace file as a record iterator."""
-    return map(_as_record, read_rows(path))
+    return map(TraceRecord, read_rows(path))
 
 
 def write_trace_path(path, records):

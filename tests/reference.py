@@ -283,12 +283,13 @@ def ref_cycles(model, t):
 
 
 def data_blocks(records, bsize):
-    """Block numbers touched by the data references of a trace."""
+    """Block numbers touched by the data references of a trace (TraceRecords
+    or rows)."""
     out = []
-    for r in records:
-        if r.kind in ("L", "S"):
-            first = r.addr // bsize
-            last = (r.addr + r.size - 1) // bsize
+    for code, addr, size in records:
+        if code == 1 or code == 2:  # L, S
+            first = addr // bsize
+            last = (addr + size - 1) // bsize
             out.extend(range(first, last + 1))
     return out
 
@@ -301,12 +302,12 @@ def direct_misses(records, nsets, bsize, assoc, policy="l", seed=1):
     """
     spec = CacheSpec("c", nsets, bsize, assoc, ReplacementPolicy(policy))
     c = Cache(spec, seed)
-    for r in records:
-        if r.kind in ("L", "S"):
-            first = r.addr // bsize
-            last = (r.addr + r.size - 1) // bsize
+    for code, addr, size in records:
+        if code == 1 or code == 2:  # L, S
+            first = addr // bsize
+            last = (addr + size - 1) // bsize
             for b in range(first, last + 1):
-                c.access(b * bsize, r.kind == "S")
+                c.access(b * bsize, code == 2)
     return c.misses
 
 

@@ -2,6 +2,7 @@ import copy
 import io
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -93,14 +94,14 @@ def test_access_past_address_space_rejected():
     with pytest.raises(TraceSyntaxError) as exc:
         list(parse_trace(["L ffffffffffffffff 1", "S ffffffffffffffff 8"]))
     assert exc.value.line_no == 2
-    data = write_trace_binary([load(top, 1), TraceRecord("L", addr=top, size=8)])
+    data = write_trace_binary([load(top, 1), TraceRecord((1, top, 8))])
     with pytest.raises(TraceSyntaxError) as exc:
         list(parse_trace_binary(data))
     assert exc.value.line_no == 2
     # One byte past the top, after an access that ends exactly at it.
     with pytest.raises(TraceSyntaxError, match="line 2: 2-byte access at 0xffffffffffffffff"):
         list(parse_trace(["S fffffffffffffffe 2", "S ffffffffffffffff 2"]))
-    data = write_trace_binary([store(top - 1, 2), TraceRecord("S", addr=top, size=2)])
+    data = write_trace_binary([store(top - 1, 2), TraceRecord((2, top, 2))])
     with pytest.raises(TraceSyntaxError, match="line 2: 2-byte access at 0xffffffffffffffff"):
         list(parse_trace_binary(data))
 
@@ -125,15 +126,15 @@ def test_rows_before_a_bad_utf8_byte_come_first(tmp_path, monkeypatch, blob, lin
     monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
     p = tmp_path / "t.ct"
     p.write_bytes(blob)
-    assert _outcome(read_rows(p)) == (
-        [(0, 0, 1), (1, 0x10, 4)], (f"trace line {line_no}: not valid UTF-8: {reason}", line_no))
+    assert _outcome(read_rows(p)) == (_fields([(0, 0, 1), (1, 0x10, 4)]),
+                                      (f"trace line {line_no}: not valid UTF-8: {reason}", line_no))
 
 
 @pytest.mark.parametrize("sep", ["\r", "\x0c", "\x1c", "\x85", "\u2028"])
 def test_only_newline_ends_a_text_line(tmp_path, sep):
     p = tmp_path / "t.ct"
     p.write_bytes(f"I 0{sep}\nL 10{sep}4{sep}# c{sep}x\n{sep}B T\nB X\n".encode())
-    assert _outcome(read_rows(p)) == ([(0, 0, 1), (1, 0x10, 4), branch(True)],
+    assert _outcome(read_rows(p)) == (_fields([(0, 0, 1), (1, 0x10, 4), (3, 0, 1)]),
                                       ("trace line 4: B takes T or N", 4))
 
 
@@ -305,7 +306,19 @@ def test_region_name_validation():
     with pytest.raises(ValueError):
         region("")
     with pytest.raises(ValueError):
-        write_trace([TraceRecord("R", name="has space")])
+        write_trace([TraceRecord((5, 0, "has space"))])
+    # Every character str.isspace calls a space, alone or inside a name.
+    spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+    assert len(spaces) == 29
+    for c in spaces:
+        for name in (c, f"a{c}b", f"{c}ab", f"ab{c}", c * 2):
+            with pytest.raises(ValueError, match="^region name must be a single token "
+                                                 f"without '#': {re.escape(repr(name))}$"):
+                region(name)
+    for name in ("", "#", "a#b"):
+        with pytest.raises(ValueError, match="^region name must be a single token "
+                                             f"without '#': {re.escape(repr(name))}$"):
+            region(name)
 
 
 @pytest.mark.parametrize("ext", [".ct", ".ctb"])
@@ -389,18 +402,26 @@ def test_gen_random_is_reproducible():
 
 
 def test_records_are_their_rows():
-    assert load(0x10, 4) == (1, 0x10, 4) and TraceRecord("L", addr=0x10, size=4) == load(0x10, 4)
-    assert [inst(8, 3), store(8, 2), branch(True), syscall(), region("f")] == \
-        [(0, 8, 3), (2, 8, 2), (3, 0, True), (4, 0, 0), (5, 0, "f")]
+    assert load(0x10, 4) == (1, 0x10, 4) and TraceRecord((1, 0x10, 4)) == load(0x10, 4)
+    records = [inst(8, 3), load(8, 4), store(8, 2), branch(True), branch(False), syscall(),
+               region("f")]
+    rows = [(0, 8, 3), (1, 8, 4), (2, 8, 2), (3, 0, 1), (3, 0, 0), (4, 0, 0), (5, 0, "f")]
+    assert _fields(records) == _fields(rows)
+    assert all(type(r) is TraceRecord for r in records)
+    assert [TraceRecord(row) for row in rows] == records
     r = region("f")
     assert (r.kind, r.addr, r.size, r.ops, r.taken, r.name) == ("R", 0, 0, 1, False, "f")
     r = inst(8, 3)
     assert (r.kind, r.addr, r.size, r.ops, r.taken, r.name) == ("I", 8, 0, 3, False, "")
-    with pytest.raises(ValueError, match="unknown record kind 'Q'"):
-        TraceRecord("Q")
-    for r in (inst(8, 3), branch(True), region("f")):
-        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-            assert twin == r and type(twin) is TraceRecord
+    r = branch(True)
+    assert (r.kind, r.addr, r.size, r.ops, r.taken, r.name) == ("B", 0, 0, 1, True, "")
+    with pytest.raises(AttributeError):
+        r.taken = False
+    for r in records:
+        twins = [copy.copy(r), copy.deepcopy(r)]
+        twins += [pickle.loads(pickle.dumps(r, protocol)) for protocol in range(6)]
+        for twin in twins:
+            assert _fields([twin]) == _fields([r]) and type(twin) is TraceRecord
 
 
 # Differential tests: the row decoders against the TraceRecord-building
@@ -419,11 +440,11 @@ def _records(draw, valid=True):
     for kind in draw(st.lists(st.sampled_from("ILSBYR"), max_size=40)):
         addr = draw(_ADDRS)
         if kind == "I":
-            out.append(TraceRecord("I", addr=addr, ops=draw(st.integers(1 - (not valid), 0xFFFF))))
+            out.append(TraceRecord((0, addr, draw(st.integers(1 - (not valid), 0xFFFF)))))
         elif kind in "LS":
             size = draw(st.integers(1 - (not valid), 130))  # spans blocks
-            out.append(TraceRecord(kind, addr=addr,
-                                   size=min(size, MAX_ADDR - addr + 1) if valid else size))
+            size = min(size, MAX_ADDR - addr + 1) if valid else size
+            out.append(TraceRecord(("ILS".index(kind), addr, size)))
         elif kind == "B":
             out.append(branch(draw(st.booleans())))
         elif kind == "Y":
@@ -488,16 +509,22 @@ def _mutated(draw, blob, pieces):
     return bytes(blob)
 
 
+def _fields(rows):
+    """Each row's fields with their types, so that a flag of True and one
+    of 1, equal as values, differ."""
+    return [[(type(f), f) for f in row] for row in rows]
+
+
 def _outcome(rows):
-    """The rows an iterator yields, then its TraceSyntaxError (message and
-    line or record number), or None when it ends cleanly."""
+    """The fields of the rows an iterator yields, then its TraceSyntaxError
+    (message and line or record number), or None when it ends cleanly."""
     got = []
     try:
         for r in rows:
             got.append(r)
     except TraceSyntaxError as exc:
-        return got, (str(exc), exc.line_no)
-    return got, None
+        return _fields(got), (str(exc), exc.line_no)
+    return _fields(got), None
 
 
 @pytest.fixture(scope="module")
@@ -513,15 +540,18 @@ _READ_SIZES = st.integers(1, 60)
 @given(records=_records(), data=st.data(), chunk=_READ_SIZES, text_chunk=_READ_SIZES)
 def test_decoders_match_oracles_on_valid_traces(scratch_dir, records, data, chunk, text_chunk):
     lines = data.draw(_text_lines(records))
-    assert list(decode_text(lines)) == list(reference.parse_trace(lines)) == records
+    want = _fields(records)  # values and field types
+    assert _fields(decode_text(lines)) == _fields(reference.parse_trace(lines)) == want
     blob = write_trace_binary(records)
     (scratch_dir / "v.ct").write_bytes("".join(lines).encode())
+    (scratch_dir / "v.ctb").write_bytes(blob)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace, "_CHUNK", chunk)
         mp.setattr(trace, "_TEXT_CHUNK", text_chunk)
-        assert list(decode_binary(io.BytesIO(blob))) == records
-        assert list(read_rows(scratch_dir / "v.ct")) == records
-    assert list(reference.parse_trace_binary(blob)) == records
+        assert _fields(decode_binary(io.BytesIO(blob))) == want
+        assert _fields(read_rows(scratch_dir / "v.ct")) == want
+        assert _fields(read_rows(scratch_dir / "v.ctb")) == want
+    assert _fields(reference.parse_trace_binary(blob)) == want
     for got in (parse_trace(lines), parse_trace_binary(blob)):
         assert all(type(r) is TraceRecord for r in got)
 
