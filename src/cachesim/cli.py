@@ -101,15 +101,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(USAGE, file=sys.stderr)
         return 1
-    except TraceSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (TraceSyntaxError, ConfigError, OSError) as exc:
         # Command-line config strings raise _UsageError at the parse site;
-        # anything arriving here came from an input file.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        # a ConfigError arriving here came from an input file.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -252,8 +246,6 @@ def _cmd_sim(args) -> int:
     opts, (trace_path,) = _parse(
         args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
         ("<trace>",))
-    from dataclasses import replace
-
     from .hierarchy import Hierarchy
     from .timing import TimingSpec, main_memory_latency
 
@@ -272,8 +264,8 @@ def _cmd_sim(args) -> int:
     if given:
         i_boundary = h.boundary("I")
         d_boundary = h.boundary("D")
-        t = replace(
-            base,
+        t = TimingSpec(
+            **given,
             icache_penalty=main_memory_latency(base, i_boundary.bsize) if i_boundary else 0,
             miss_penalty=main_memory_latency(base, d_boundary.bsize) if d_boundary else 0,
         )

@@ -10,12 +10,12 @@ Two configuration dialects are supported and normalized into one model:
 
 All parses are pure functions over their inputs; the resulting specs
 are immutable.  ``CacheSpec`` and ``HierarchySpec`` are named tuples.
-``TimingSpec``, a frozen dataclass, is defined in timing.py and served
-from here on first use, so ``sweep``, which reads no timing, never loads
-``dataclasses``.  Every bad value raises ``ConfigError`` (a
-``ValueError``) whose message names the problem.  A unified level is
-spelled as the bare name of its data level, ``"dl1"`` or ``"dl2"``, both
-in the flag values and in ``HierarchySpec.il1``/``il2``.
+``TimingSpec``, a frozen dataclass, is defined in timing.py;
+``parse_vex_cfg`` imports it when it runs, so ``sweep``, which reads no
+timing, never loads ``dataclasses``.  Every bad value raises
+``ConfigError`` (a ``ValueError``) whose message names the problem.  A
+unified level is spelled as the bare name of its data level, ``"dl1"`` or
+``"dl2"``, both in the flag values and in ``HierarchySpec.il1``/``il2``.
 
 Each rule is stated once.  ``DEFAULT_HIERARCHY_ARGS`` holds the hierarchy
 flags and their defaults; the CLI's flag list is its keys.  ``_UNIFIABLE``
@@ -208,14 +208,6 @@ def parse_hierarchy_args(args):
 
     return HierarchySpec(**{level: _decode_level(level, merged) for level in _LEVELS},
                          flush_on_syscall=merged["-flush"] == "true").validate()
-
-
-def __getattr__(name):  # PEP 562: TimingSpec is in timing.py, which sweep never loads
-    if name == "TimingSpec":
-        from .timing import TimingSpec
-
-        return TimingSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # vex.cfg geometry keys: cache name -> (lg2 size, lg2 ways, lg2 line size).

@@ -385,7 +385,7 @@ class Hierarchy:
             sim_num_insn=self.sim_num_insn,
             sim_num_refs=self.sim_num_refs,
             caches=total.caches,
-            branches=BranchCounts(*self._mark[3:6]),
+            branches=total.branches,
             regions=regions,
             sim_elapsed_time=elapsed,
             sim_inst_rate=self.sim_num_insn / elapsed,

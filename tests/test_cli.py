@@ -157,9 +157,15 @@ def test_sim_usage_errors_exit_1(capsys, trace_file):
     assert "power of two" in err
 
 
-def test_sim_missing_trace_file_exits_2(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "sim", str(tmp_path / "absent.ct"))
-    assert code == 2
+def test_sim_missing_trace_file_exits_2(capsys, tmp_path, trace_file):
+    # A trace that is not there, and a report path whose directory is not
+    # there, which fails only after the walk.
+    for argv in ([str(tmp_path / "absent.ct")],
+                 ["--out", str(tmp_path / "absent" / "out.txt"), trace_file]):
+        code, out, err = run_cli(capsys, "sim", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err and "Traceback" not in err
 
 
 def test_sim_bad_trace_line_exits_2_with_line_number(capsys, tmp_path):
@@ -288,13 +294,14 @@ def test_sweep_with_opt_rows(capsys, trace_file):
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
 def test_sweep_opt_matches_golden_bytes(capsys, tmp_path, fmt, ext):
-    trace = tmp_path / "rand.ct"
-    assert main(["gen", "random", "--seed", "7", "--range", "16384", "--count", "4000",
-                 "--out", str(trace)]) == 0
-    out = tmp_path / f"sweep.{ext}"
-    assert main(["sweep", "--sets", "1,16,128", "--bsize", "32,64", "--assoc", "1,2,4,8,16",
-                 "--opt", "--format", fmt, "--out", str(out), str(trace)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"sweep_opt.{ext}").read_bytes()
+    for trace_name in ("rand.ct", "rand.ctb"):
+        trace = tmp_path / trace_name
+        assert main(["gen", "random", "--seed", "7", "--range", "16384", "--count", "4000",
+                     "--out", str(trace)]) == 0
+        out = tmp_path / f"sweep.{ext}"
+        assert main(["sweep", "--sets", "1,16,128", "--bsize", "32,64", "--assoc", "1,2,4,8,16",
+                     "--opt", "--format", fmt, "--out", str(out), str(trace)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"sweep_opt.{ext}").read_bytes(), trace_name
 
 
 def _mixed_trace(n=4000):
@@ -327,8 +334,8 @@ _POLICY_ARGS = ["-cache:dl1", "dl1:64:32:4:r", "-cache:il1", "il1:64:32:2:f",
 
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
-@pytest.mark.parametrize("cmd, trace_name", [("sim", "t.ct"), ("vexsim", "t.ctb"),
-                                             ("sim_policies", "t.ct")])
+@pytest.mark.parametrize("trace_name", ["t.ct", "t.ctb"])
+@pytest.mark.parametrize("cmd", ["sim", "vexsim", "sim_policies"])
 def test_sim_and_vexsim_match_golden_bytes(tmp_path, cmd, trace_name, fmt, ext):
     trace = tmp_path / trace_name
     write_trace_path(trace, _mixed_trace())
