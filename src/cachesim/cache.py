@@ -18,7 +18,7 @@ hierarchy writes a dirty victim back to it, and ``outcome`` derives the
 victim's tag from it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import CacheSpec, ReplacementPolicy
 
@@ -31,16 +31,12 @@ MISS_REPLACE_DIRTY = 3  # evicted a dirty line (one writeback)
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass
-class CacheStats:
+class CacheStats(namedtuple("CacheStats",
+                            "accesses hits misses replacements writebacks invalidations",
+                            defaults=(0,) * 6)):
     """Snapshot of the six event counters plus the derived rates."""
 
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    replacements: int = 0
-    writebacks: int = 0
-    invalidations: int = 0
+    __slots__ = ()
 
     def _rate(self, n):
         return n / self.accesses if self.accesses > 0 else 0.0
@@ -62,13 +58,11 @@ class CacheStats:
         return self._rate(self.invalidations)
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
+class AccessOutcome(namedtuple("AccessOutcome", "hit evicted_tag evicted_dirty",
+                               defaults=(None, False))):
     """Result of one access: a hit, or a miss with the optional victim."""
 
-    hit: bool
-    evicted_tag: int | None = None
-    evicted_dirty: bool = False
+    __slots__ = ()
 
 
 class Cache:

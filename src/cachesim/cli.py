@@ -10,8 +10,8 @@ cycle-accounting summary whose per-side miss penalties are the main-memory
 latency of one block transfer at that side's memory-boundary cache.
 
 Each command imports the layers it runs, so ``sweep`` loads no hierarchy,
-cache or timing module, nor ``dataclasses``, and ``sim``/``vexsim`` no stack
-module.
+cache or timing module, ``sim`` without a memory-timing flag no timing
+module, and ``sim``/``vexsim`` no stack module.
 """
 
 import math
@@ -218,12 +218,13 @@ def _simulate(h, t, opts, trace_path, simcache):
     statistics when ``simcache`` is set, then the cycle summary and, for a
     trace with named regions, the region profile."""
     from .report import export, render_region_profile, render_simcache, render_vex_summary
-    from .timing import account
 
     report = h.run(read_rows(trace_path), collect_events=t is not None,
                    clock=_make_clock(opts.get("clock")))
     cycles = None
     if t is not None:
+        from .timing import account
+
         b = report.branches
         cycles = account(h.events, t, report.sim_num_insn, h.ops_executed,
                          h.mem_counts["I"], h.mem_counts["D"],
@@ -247,15 +248,16 @@ def _cmd_sim(args) -> int:
         args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
         ("<trace>",))
     from .hierarchy import Hierarchy
-    from .timing import TimingSpec, main_memory_latency
 
     given = {k: opts[k] for k in ("mem_width", "tlb_lat") if k in opts}
     if "mem_lat" in opts:
         given["mem_lat_first"], given["mem_lat_next"] = opts["mem_lat"]
-    base = TimingSpec(**given)  # the flags not given keep TimingSpec's defaults
     try:
         hspec = parse_hierarchy_args([x for f in _HIER_FLAGS if f in opts for x in (f, opts[f])])
-        base.validate()
+        if given:  # only a timing flag loads the timing layer
+            from .timing import TimingSpec, main_memory_latency
+
+            base = TimingSpec(**given).validate()  # the flags not given keep their defaults
     except ConfigError as exc:
         raise _UsageError(str(exc)) from None
 

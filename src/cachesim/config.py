@@ -11,11 +11,12 @@ Two configuration dialects are supported and normalized into one model:
 All parses are pure functions over their inputs; the resulting specs
 are immutable.  ``CacheSpec`` and ``HierarchySpec`` are named tuples.
 ``TimingSpec``, a frozen dataclass, is defined in timing.py;
-``parse_vex_cfg`` imports it when it runs, so ``sweep``, which reads no
-timing, never loads ``dataclasses``.  Every bad value raises
-``ConfigError`` (a ``ValueError``) whose message names the problem.  A
-unified level is spelled as the bare name of its data level, ``"dl1"`` or
-``"dl2"``, both in the flag values and in ``HierarchySpec.il1``/``il2``.
+``parse_vex_cfg`` imports it when it runs, so ``sweep`` and ``sim``
+without a timing flag, which read no timing, never load ``dataclasses``.
+Every bad value raises ``ConfigError`` (a ``ValueError``) whose message
+names the problem.  A unified level is spelled as the bare name of its
+data level, ``"dl1"`` or ``"dl2"``, both in the flag values and in
+``HierarchySpec.il1``/``il2``.
 
 Each rule is stated once.  ``DEFAULT_HIERARCHY_ARGS`` holds the hierarchy
 flags and their defaults; the CLI's flag list is its keys.  ``_UNIFIABLE``

@@ -51,44 +51,40 @@ counted, taken and not taken, not logged.
 
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cache import HIT, MISS_REPLACE_DIRTY, Cache, CacheStats
 from .config import HierarchySpec
 from .trace import TOTAL_REGION
 
-
-@dataclass
-class BranchCounts:
-    executed: int = 0
-    taken: int = 0
-    not_taken: int = 0
+BranchCounts = namedtuple("BranchCounts", "executed taken not_taken", defaults=(0, 0, 0))
 
 
-@dataclass
-class RegionCounters:
-    """Counters attributed to one region of the trace."""
+class RegionCounters(namedtuple("RegionCounters",
+                                "insts ops refs branches i_misses d_misses caches")):
+    """Counters attributed to one region of the trace; ``i_misses`` and
+    ``d_misses`` are memory-boundary misses, ``caches`` name -> CacheStats."""
 
-    insts: int = 0
-    ops: int = 0
-    refs: int = 0
-    branches: BranchCounts = field(default_factory=BranchCounts)
-    i_misses: int = 0  # memory-boundary misses on the instruction side
-    d_misses: int = 0  # memory-boundary misses on the data side
-    caches: dict = field(default_factory=dict)  # name -> CacheStats
+    __slots__ = ()
+
+    def __new__(cls, insts=0, ops=0, refs=0, branches=BranchCounts(), i_misses=0, d_misses=0,
+                caches=None):  # each gets its own dict
+        return super().__new__(cls, insts, ops, refs, branches, i_misses, d_misses,
+                               {} if caches is None else caches)
 
 
-@dataclass
-class SimReport:
-    """Aggregated counters of one simulation run."""
+class SimReport(namedtuple("SimReport", "sim_num_insn sim_num_refs caches branches regions "
+                                        "sim_elapsed_time sim_inst_rate")):
+    """Aggregated counters of one simulation run; ``caches`` is name ->
+    CacheStats, ``regions`` name -> RegionCounters."""
 
-    sim_num_insn: int = 0
-    sim_num_refs: int = 0
-    caches: dict = field(default_factory=dict)  # name -> CacheStats
-    branches: BranchCounts = field(default_factory=BranchCounts)
-    regions: dict = field(default_factory=dict)  # name -> RegionCounters
-    sim_elapsed_time: int = 1
-    sim_inst_rate: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, sim_num_insn=0, sim_num_refs=0, caches=None, branches=BranchCounts(),
+                regions=None, sim_elapsed_time=1, sim_inst_rate=0.0):  # each gets its own dicts
+        return super().__new__(cls, sim_num_insn, sim_num_refs, {} if caches is None else caches,
+                               branches, {} if regions is None else regions, sim_elapsed_time,
+                               sim_inst_rate)
 
 
 def _cache_seed(master, name):

@@ -180,6 +180,25 @@ def render_region_profile(report, t) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_report(obj):
+    """Whether ``obj`` is a SimReport or a CycleReport; only an object that
+    is not a SimReport loads the timing layer to tell."""
+    from .hierarchy import SimReport
+
+    if isinstance(obj, SimReport):
+        return True
+    from .timing import CycleReport
+
+    return isinstance(obj, CycleReport)
+
+
+def _plain(value):
+    """A result, and the results and dicts it holds, as dicts in field order."""
+    if isinstance(value, tuple):  # a named tuple
+        value = value._asdict()
+    return {k: _plain(v) for k, v in value.items()} if isinstance(value, dict) else value
+
+
 def _flatten(prefix, value, out):
     if isinstance(value, dict):
         for k, v in value.items():
@@ -232,17 +251,8 @@ def export(obj, fmt: str) -> str:
             if fmt == "csv":
                 return _csv(_sweep_rows(obj, repr))
             d = [{k: v for k, v in r._asdict().items() if v is not None} for r in obj]
-    else:
-        from dataclasses import asdict
-
-        from .hierarchy import SimReport
-        from .timing import CycleReport
-
-        if isinstance(obj, (SimReport, CycleReport)):
-            d = asdict(obj)
-        elif isinstance(obj, dict) and all(isinstance(r, (SimReport, CycleReport))
-                                           for r in obj.values()):
-            d = {name: asdict(r) for name, r in obj.items()}
+    elif all(map(_is_report, obj.values() if isinstance(obj, dict) else (obj,))):
+        d = _plain(obj)
     if d is None:
         raise TypeError(f"cannot export object of type {type(obj).__name__}")
     if fmt == "json":

@@ -18,6 +18,7 @@ penalty but never stall the core, which is why the data-side stall equals
 exactly misses times the miss penalty when nothing conflicts.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from .config import ConfigError, _check_pow2
@@ -61,35 +62,13 @@ class TimingSpec:
         return self
 
 
-@dataclass(frozen=True)
-class MemSideReport:
-    accesses: int
-    hits: int
-    misses: int
-    stall_total: int
-    stall_miss: int
-    stall_bus_conflict: int
-
-
-@dataclass(frozen=True)
-class BranchReport:
-    executed: int
-    taken: int
-    not_taken: int
-    branch_stall_cycles: int
-
-
-@dataclass(frozen=True)
-class CycleReport:
-    total_cycles: int
-    execution_cycles: int
-    stall_cycles: int
-    imem: MemSideReport
-    dmem: MemSideReport
-    branch: BranchReport
-    bus_busy_cycles: int
-    bandwidth_pct: float
-    executed_operations: int
+# The cycle model's results are named tuples; TimingSpec alone is a
+# dataclass, for ``dataclasses.replace``.
+MemSideReport = namedtuple("MemSideReport",
+                           "accesses hits misses stall_total stall_miss stall_bus_conflict")
+BranchReport = namedtuple("BranchReport", "executed taken not_taken branch_stall_cycles")
+CycleReport = namedtuple("CycleReport", "total_cycles execution_cycles stall_cycles imem dmem "
+                                        "branch bus_busy_cycles bandwidth_pct executed_operations")
 
 
 def main_memory_latency(t: TimingSpec, nbytes: int) -> int:

@@ -24,6 +24,7 @@ whose items are the row, so whatever walks a trace (``for code, addr,
 arg in records``) takes decoder rows and TraceRecords alike.  The
 constructors ``inst``, ``load``, ``store``, ``branch``, ``syscall`` and
 ``region`` hold every rule a record keeps and return the view of its row.
+Both writers check each row by those rules, so what they write reads back.
 
 Each format has one decoder that yields rows.  ``decode_text`` takes
 text lines one at a time; it tests the fields of a line inline and calls
@@ -234,23 +235,41 @@ def _int_field(tok, line_no, what):
     return v
 
 
+def _check_row(code, addr, arg):
+    """Raise the ValueError of a row that the readers refuse.  An I, L or S
+    row is tested inline, as ``decode_text`` tests it, and one that fails
+    goes to ``inst`` or ``_check_span`` to name the fault."""
+    if code == 1 or code == 2:
+        if addr < 0 or arg < 1 or addr + arg > _ADDR_END:
+            _check_span(addr, arg)
+    elif code == 0:
+        if arg < 1 or not 0 <= addr <= MAX_ADDR:
+            inst(addr, arg)
+    elif code == 3 or code == 4 or code == 5:
+        if code == 5:
+            region(arg)
+        if addr != 0 or code == 3 and arg not in (0, 1) or code == 4 and arg != 0:
+            want = ("(3, 0, 0) or (3, 0, 1)", "(4, 0, 0)", "(5, 0, name)")[code - 3]
+            raise ValueError(f"{_KINDS[code]} row must be {want}, not {(code, addr, arg)!r}")
+    else:
+        raise ValueError(f"unknown record kind code {code!r}")
+
+
 def write_trace(records):
     """Render records (or rows) back to text; parse_trace(write_trace(r)) == r."""
     out = []
     for code, addr, arg in records:
+        _check_row(code, addr, arg)
         if code == 0:
-            out.append(f"I {addr:x}" if arg == 1 else f"I {addr:x} {arg}")
+            out.append(f"I {addr:x}" if arg == 1 else f"I {addr:x} {arg:d}")
         elif code == 1 or code == 2:
-            out.append(f"{_KINDS[code]} {addr:x} {arg}")
+            out.append(f"{_KINDS[code]} {addr:x} {arg:d}")
         elif code == 3:
             out.append(f"B {'T' if arg else 'N'}")
         elif code == 4:
             out.append("Y")
-        elif code == 5:
-            region(arg)  # re-validate: names must stay single tokens
-            out.append(f"R {arg}")
         else:
-            raise ValueError(f"unknown record kind code {code!r}")
+            out.append(f"R {arg}")
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -261,22 +280,18 @@ _TEXT_CHUNK = 4096  # bytes per .ct read, before the rest of its last line
 
 
 def write_trace_binary(records):
-    """Render records (or rows) as .ctb bytes; a record .ctb cannot hold
-    raises a ValueError naming its 1-based ordinal."""
+    """Render records (or rows) as .ctb bytes; a row that the readers refuse
+    (see ``_check_row``) or that .ctb cannot hold raises a ValueError naming
+    its 1-based ordinal."""
     chunks = []
     for n, (code, addr, arg) in enumerate(records, 1):
         try:
-            if code <= 2:
-                chunks.append(_REC.pack(code, addr, arg))
-            elif code == 3:
-                chunks.append(_REC.pack(3, 0, 1 if arg else 0))
-            elif code == 4:
-                chunks.append(_REC.pack(4, 0, 0))
-            elif code == 5:
-                name = region(arg).name.encode("utf-8")  # re-validated, as write_trace does
+            _check_row(code, addr, arg)
+            if code == 5:
+                name = arg.encode("utf-8")
                 chunks.append(_REC.pack(5, 0, len(name)) + name)
             else:
-                raise ValueError(f"unknown record kind code {code!r}")
+                chunks.append(_REC.pack(code, addr, arg))
         except struct.error:
             raise ValueError(f"record {n}: a .ctb record holds a size, op count or "
                              f"name length of 0 to 65535 and a 64-bit address") from None

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import random
 from collections import Counter
@@ -787,7 +786,8 @@ def test_account_matches_a_cycle_stepped_bus(flags, rows, flush, seed, t):
                   h.mem_counts["D"], (b.executed, b.taken, b.not_taken))
     _, model = _reference(flags, seed, flush)
     model.feed(rows)
-    assert dataclasses.asdict(got) == ref_cycles(model, t)
+    assert {**got._asdict(), "imem": got.imem._asdict(), "dmem": got.dmem._asdict(),
+            "branch": got.branch._asdict()} == ref_cycles(model, t)
 
 
 @st.composite

@@ -141,6 +141,18 @@ def test_timing_spec_is_served_by_timing_alone():
     subprocess.run([sys.executable, "-c", code], env=_env(), check=True, timeout=60)
 
 
+def test_results_load_no_dataclasses():
+    # Every result type is a named tuple; only TimingSpec needs dataclasses.
+    code = ("import sys; import cachesim.cache, cachesim.hierarchy, cachesim.report; "
+            "assert not {'cachesim.timing', 'dataclasses'} & set(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=_env(), check=True, timeout=60)
+
+
+# The timing layer, and dataclasses and inspect with it, which only a
+# memory-timing flag or vexsim's cycle model loads.
+TIMING_LAYER = {"cachesim.timing", "dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv", [
     ("sim", "--clock", "1", "--out", "out.txt", "t.ct"),
     ("sim", "-mem:lat", "18", "2", "--clock", "1", "--out", "out.txt", "t.ct"),
@@ -150,5 +162,17 @@ def test_text_simulation_loads_no_stack_module_or_exporter(tmp_path, argv):
     (tmp_path / "t.ct").write_text("R main\nI 400000\nL 1000 4\n")
     (tmp_path / "vex.cfg").write_text(VEX_CFG)
     loaded = _loaded_by(tmp_path, *argv)
-    assert SIM_LAYERS <= loaded
+    assert {"cachesim.hierarchy", "cachesim.cache"} <= loaded
+    if argv[0] == "vexsim" or "-mem:lat" in argv:
+        assert TIMING_LAYER <= loaded
+    else:
+        assert loaded.isdisjoint(TIMING_LAYER)
     assert loaded.isdisjoint({"cachesim.stack", "cachesim.sweep", "decimal"} | EXPORT_MODULES)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sim_exports_a_report_without_the_timing_layer(tmp_path, fmt):
+    (tmp_path / "t.ct").write_text("R main\nI 400000\nL 1000 4\n")
+    loaded = _loaded_by(tmp_path, "sim", "--format", fmt, "--clock", "1", "--out", "out", "t.ct")
+    assert loaded.isdisjoint(TIMING_LAYER) and fmt in loaded
+    assert "sim_num_insn" in (tmp_path / "out").read_text()

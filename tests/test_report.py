@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import reference
 
 from cachesim import (
+    AccessOutcome,
     BranchCounts,
     BranchReport,
     CacheStats,
@@ -17,6 +18,7 @@ from cachesim import (
     Hierarchy,
     HierarchySpec,
     MemSideReport,
+    RegionCounters,
     SimReport,
     SweepRow,
     TimingSpec,
@@ -105,7 +107,7 @@ def test_simcache_zeroed_report():
 
 def test_simcache_branch_lines_when_present():
     rep = sample_sim_report()
-    rep.branches = BranchCounts(10, 7, 3)
+    rep = rep._replace(branches=BranchCounts(10, 7, 3))
     n = norm(render_simcache(rep))
     assert "sim_num_branches 10 " in n
     assert "sim_num_taken 7 " in n
@@ -319,3 +321,77 @@ def test_render_sweep_table_text():
     rows = [SweepRow(64, 32, 1, 100, 0.25)]
     text = render_sweep_table(rows)
     assert "nsets" in text and "0.250000" in text
+
+
+# The reprs of the dataclasses these result types were before they became
+# named tuples.
+EMPTY_BRANCHES_REPR = "BranchCounts(executed=0, taken=0, not_taken=0)"
+RESULT_REPRS = [
+    (CacheStats(), "CacheStats(accesses=0, hits=0, misses=0, replacements=0, writebacks=0, "
+                   "invalidations=0)"),
+    (AccessOutcome(True), "AccessOutcome(hit=True, evicted_tag=None, evicted_dirty=False)"),
+    (AccessOutcome(False, 5, True), "AccessOutcome(hit=False, evicted_tag=5, evicted_dirty=True)"),
+    (BranchCounts(), EMPTY_BRANCHES_REPR),
+    (RegionCounters(), f"RegionCounters(insts=0, ops=0, refs=0, branches={EMPTY_BRANCHES_REPR}, "
+                       "i_misses=0, d_misses=0, caches={})"),
+    (SimReport(), f"SimReport(sim_num_insn=0, sim_num_refs=0, caches={{}}, "
+                  f"branches={EMPTY_BRANCHES_REPR}, regions={{}}, sim_elapsed_time=1, "
+                  "sim_inst_rate=0.0)"),
+    (MemSideReport(4, 3, 1, 20, 18, 2),
+     "MemSideReport(accesses=4, hits=3, misses=1, stall_total=20, stall_miss=18, "
+     "stall_bus_conflict=2)"),
+    (BranchReport(2, 1, 1, 3),
+     "BranchReport(executed=2, taken=1, not_taken=1, branch_stall_cycles=3)"),
+    (CycleReport(30, 5, 25, MemSideReport(4, 3, 1, 20, 18, 2), MemSideReport(0, 0, 0, 0, 0, 0),
+                 BranchReport(2, 1, 1, 3), 40, 50.0, 9),
+     "CycleReport(total_cycles=30, execution_cycles=5, stall_cycles=25, "
+     "imem=MemSideReport(accesses=4, hits=3, misses=1, stall_total=20, stall_miss=18, "
+     "stall_bus_conflict=2), dmem=MemSideReport(accesses=0, hits=0, misses=0, stall_total=0, "
+     "stall_miss=0, stall_bus_conflict=0), branch=BranchReport(executed=2, taken=1, "
+     "not_taken=1, branch_stall_cycles=3), bus_busy_cycles=40, bandwidth_pct=50.0, "
+     "executed_operations=9)"),
+]
+
+
+@pytest.mark.parametrize("result, want", RESULT_REPRS,
+                         ids=[type(result).__name__ for result, _ in RESULT_REPRS])
+def test_results_keep_their_repr_and_have_read_only_fields(result, want):
+    assert repr(result) == want
+    field = result._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(result, field, 1)
+    with pytest.raises(AttributeError):
+        result.extra = 1
+    changed = result._replace(**{field: 7})
+    assert getattr(changed, field) == 7 and changed[1:] == result[1:]
+    assert changed == (7, *result[1:])  # equal to the plain tuple of its fields
+
+
+def test_results_construct_with_their_defaults_and_hash_as_before():
+    stats = CacheStats(10, 7, 3, 2, 1)
+    assert stats == CacheStats(accesses=10, hits=7, misses=3, replacements=2, writebacks=1) \
+        == (10, 7, 3, 2, 1, 0)
+    assert (stats.miss_rate, stats.repl_rate, stats.wb_rate, stats.inv_rate) == (0.3, 0.2, 0.1, 0)
+    assert CacheStats().miss_rate == 0.0
+    accesses, hits, *_ = stats
+    assert (accesses, hits) == (10, 7)
+    assert AccessOutcome(False) == AccessOutcome(hit=False, evicted_tag=None, evicted_dirty=False)
+    with pytest.raises(TypeError):
+        AccessOutcome()  # hit has no default
+    with pytest.raises(TypeError):
+        MemSideReport(1, 1, 0)  # nor has any field of the cycle model's results
+    assert RegionCounters(insts=3).branches == BranchCounts() == (0, 0, 0)
+    # A dict default is a new dict for each result.
+    assert SimReport().caches is not SimReport().caches
+    assert SimReport().regions is not SimReport().regions
+    assert RegionCounters().caches is not RegionCounters().caches
+    caches = {"dl1": stats}
+    assert SimReport(caches=caches).caches is caches
+    # Results of plain counters hash as the tuple of their fields; those that
+    # hold dicts stay unhashable, as the dataclasses were.
+    assert hash(stats) == hash((10, 7, 3, 2, 1, 0))
+    assert len({BranchCounts(1, 1, 0), BranchCounts(1, 1, 0), BranchCounts()}) == 2
+    assert hash(FIG_CYCLES) == hash(tuple(FIG_CYCLES))
+    for unhashable in (SimReport(), RegionCounters()):
+        with pytest.raises(TypeError):
+            hash(unhashable)

@@ -3,6 +3,7 @@ import io
 import pickle
 import random
 import re
+import struct
 import tracemalloc
 
 import pytest
@@ -84,6 +85,13 @@ def test_parse_errors_carry_line_numbers():
         list(parse_trace(["I zz 0"]))  # the op count is checked before the address
 
 
+def _packed(rows):
+    """.ctb bytes of I, L and S rows packed as they stand, even those that
+    the writer refuses; other rows as the writer writes them."""
+    return b"".join(struct.pack("<BQH", *row) if row[0] <= 2 else write_trace_binary([row])
+                    for row in rows)
+
+
 def test_access_past_address_space_rejected():
     top = 2**64 - 1
     for make in (load, store):
@@ -94,14 +102,14 @@ def test_access_past_address_space_rejected():
     with pytest.raises(TraceSyntaxError) as exc:
         list(parse_trace(["L ffffffffffffffff 1", "S ffffffffffffffff 8"]))
     assert exc.value.line_no == 2
-    data = write_trace_binary([load(top, 1), TraceRecord((1, top, 8))])
+    data = _packed([load(top, 1), TraceRecord((1, top, 8))])
     with pytest.raises(TraceSyntaxError) as exc:
         list(parse_trace_binary(data))
     assert exc.value.line_no == 2
     # One byte past the top, after an access that ends exactly at it.
     with pytest.raises(TraceSyntaxError, match="line 2: 2-byte access at 0xffffffffffffffff"):
         list(parse_trace(["S fffffffffffffffe 2", "S ffffffffffffffff 2"]))
-    data = write_trace_binary([store(top - 1, 2), TraceRecord((2, top, 2))])
+    data = _packed([store(top - 1, 2), TraceRecord((2, top, 2))])
     with pytest.raises(TraceSyntaxError, match="line 2: 2-byte access at 0xffffffffffffffff"):
         list(parse_trace_binary(data))
 
@@ -289,6 +297,62 @@ def test_binary_writer_refuses_what_ctb_cannot_hold():
         write_trace_binary([syscall(), (5, 0, "a b")])
 
 
+@pytest.mark.parametrize("row, message", [
+    ((0, 5, 0), "ops must be >= 1, got 0"),
+    ((1, 16, 0), "size must be >= 1, got 0"),
+    ((2, MAX_ADDR, 5), "5-byte access at 0xffffffffffffffff runs past the address space"),
+    ((0, -1, 1), "address out of range: -0x1"),
+    ((3, 0, 2), r"B row must be \(3, 0, 0\) or \(3, 0, 1\), not \(3, 0, 2\)"),
+    ((3, 8, 1), r"B row must be \(3, 0, 0\) or \(3, 0, 1\), not \(3, 8, 1\)"),
+    ((4, 0, 1), r"Y row must be \(4, 0, 0\), not \(4, 0, 1\)"),
+    ((5, 3, "main"), r"R row must be \(5, 0, name\), not \(5, 3, 'main'\)"),
+    ((6, 0, 0), "unknown record kind code 6"),
+])
+def test_writers_refuse_rows_that_their_readers_refuse(row, message):
+    # The text writer raises the message of the rule broken, the binary
+    # writer the same after the record's ordinal.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_trace([syscall(), row])
+    with pytest.raises(ValueError, match=f"^record 2: {message}$"):
+        write_trace_binary([syscall(), row])
+
+
+# Rows drawn field by field, valid or not: op counts and sizes of 0, accesses
+# at and past the top of the address space, B and Y rows with other fields,
+# kind codes past R, and region names that are not single tokens.
+_ROW_ADDRS = st.one_of(st.sampled_from([0, 1, MAX_ADDR - 1, MAX_ADDR, MAX_ADDR + 1, -1]),
+                       st.integers(0, MAX_ADDR))
+_ROW_ARGS = st.one_of(st.sampled_from([0, 1, 2, 0xFFFF, 0x10000, -1]), st.integers(0, 200),
+                      st.booleans())
+_ROW_NAMES = st.one_of(st.sampled_from(["main", "TOTAL", "caf\u00e9", "a b", "#", "", "a\rb"]),
+                       st.text(max_size=4))
+
+
+@st.composite
+def _drawn_rows(draw):
+    out = []
+    for code in draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 6, -1]), max_size=8)):
+        if code == 5:
+            out.append((5, draw(st.sampled_from([0, 0, 3])), draw(_ROW_NAMES)))
+        else:
+            out.append((code, draw(_ROW_ADDRS), draw(_ROW_ARGS)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_drawn_rows())
+def test_writers_write_only_rows_that_read_back(rows):
+    # Each writer refuses a row with a ValueError, or what it writes
+    # decodes to the rows it was given.
+    for write, decode in ((write_trace, lambda text: decode_text(text.split("\n"))),
+                          (write_trace_binary, lambda data: decode_binary(io.BytesIO(data)))):
+        try:
+            written = write(rows)
+        except ValueError:
+            continue
+        assert list(decode(written)) == rows
+
+
 def test_file_round_trip(tmp_path):
     records = _random_records(random.Random(9), 200)
     text_path = tmp_path / "t.ct"
@@ -458,6 +522,14 @@ def _records(draw, valid=True):
 _BAD_TOKENS = ["zz", "0", "-1", "+2", "1ffffffffffffffff", "1_0", "X", "Q", "T"]
 
 
+def _tokens(r):
+    """The text tokens of a record; an I, L or S record written as it
+    stands, even one that the writer refuses."""
+    if r.kind in "ILS":
+        return [r.kind, f"{r.addr:x}"] + ([] if r.kind == "I" and r.ops == 1 else [str(r[2])])
+    return write_trace([r]).split()
+
+
 @st.composite
 def _text_lines(draw, records, bad=False):
     """``records`` as text lines, spelled every way the grammar allows:
@@ -466,7 +538,7 @@ def _text_lines(draw, records, bad=False):
     replaced from _BAD_TOKENS."""
     lines = []
     for r in records:
-        toks = write_trace([r]).split()
+        toks = _tokens(r)
         if r.kind in "ILS" and draw(st.booleans()):
             toks[1] = draw(st.sampled_from([f"{r.addr:X}", f"0x{r.addr:x}", f"{r.addr:020x}"]))
         if r.kind == "I" and r.ops == 1 and draw(st.booleans()):
@@ -561,7 +633,7 @@ def test_decoders_match_oracles_on_valid_traces(scratch_dir, records, data, chun
 def test_decoders_match_oracles_on_mutated_files(scratch_dir, records, data, chunk, text_chunk):
     text = "".join(data.draw(_text_lines(records, bad=True))).encode()
     for path, blob, pieces in ((scratch_dir / "t.ct", text, _TEXT_PIECES),
-                               (scratch_dir / "t.ctb", write_trace_binary(records), None)):
+                               (scratch_dir / "t.ctb", _packed(records), None)):
         path.write_bytes(data.draw(_mutated(blob, pieces)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace, "_CHUNK", chunk)
