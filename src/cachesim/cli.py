@@ -48,10 +48,9 @@ sim flags (defaults shown):
 # -flush         false # flush caches on system calls
 # -mem:lat       18 2 # main memory access latency (first, rest)
 # -mem:width     8 # width of memory bus in bytes
-# -tlb:lat       30 # TLB miss latency (in cycles)
+# -seed          1 # random number generator seed
 
 sim and vexsim flags (defaults shown):
-# -seed          1 # random number generator seed
 # --format       text # output format, one of {text|csv|json}
 # --out          <null> # write the report to a file instead of stdout
 # --clock        <null> # fixed elapsed seconds, for reproducible output
@@ -152,7 +151,6 @@ _OPTIONS = {
     **{f: (f[2:], 1, _int) for f in _GEN_FLAGS},
     "-mem:lat": ("mem_lat", 2, _int),
     "-mem:width": ("mem_width", 1, _int),
-    "-tlb:lat": ("tlb_lat", 1, _int),
     "-seed": ("seed", 1, _int),
     "--format": ("fmt", 1, _format),
     "--out": ("out", 1, str),
@@ -162,7 +160,7 @@ _OPTIONS = {
     "--assoc": ("assocs", 1, _ints),
     "--opt": ("opt", 0, None),
 }
-_RUN_FLAGS = ("-seed", "--format", "--out", "--clock")
+_RUN_FLAGS = ("--format", "--out", "--clock")
 
 
 def _parse(args, flags, names):
@@ -245,11 +243,11 @@ def _simulate(h, t, opts, trace_path, simcache):
 
 def _cmd_sim(args) -> int:
     opts, (trace_path,) = _parse(
-        args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-tlb:lat") + _RUN_FLAGS,
+        args, _HIER_FLAGS + ("-mem:lat", "-mem:width", "-seed") + _RUN_FLAGS,
         ("<trace>",))
     from .hierarchy import Hierarchy
 
-    given = {k: opts[k] for k in ("mem_width", "tlb_lat") if k in opts}
+    given = {"mem_width": opts["mem_width"]} if "mem_width" in opts else {}
     if "mem_lat" in opts:
         given["mem_lat_first"], given["mem_lat_next"] = opts["mem_lat"]
     try:
@@ -296,8 +294,7 @@ def _cmd_vexsim(args) -> int:
         # Name the file: "<path> line N: ..." like the warnings, else "<path>: ...".
         sep = " " if str(exc).startswith("line ") else ": "
         raise ConfigError(f"{cfg_path}{sep}{exc}") from None
-    h = Hierarchy(hspec, opts.get("seed", 1))
-    return _simulate(h, t, opts, trace_path, simcache=False)
+    return _simulate(Hierarchy(hspec), t, opts, trace_path, simcache=False)
 
 
 def _cmd_sweep(args) -> int:

@@ -36,10 +36,11 @@ adds the block to ``_dirty`` and, under LRU, a block that is not its set's
 newest moves to the end, as in ``Cache._access``, so this is exact.  The
 hits, counted in locals, are credited as hits, entry accesses and (at the
 memory boundary) boundary accesses and hits before each region snapshot,
-their only reader mid-walk, and when the walk returns or raises.  Spans
-over more than one block, rows of size 0 or less, misses and L2 accesses
-take the general path, and so does all of ``step()``: its walk tests
-against sets that hold nothing, so it logs every access.
+their only reader mid-walk, and when the walk returns or raises.  Rows
+whose first and last bytes (``addr + size - 1``) lie in different blocks,
+misses, L2 accesses and all of ``step()``, whose walk tests against sets
+that hold nothing so that it logs every access, take the general path.
+Either path touches the block of ``addr`` once for a size of 0 or less.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
@@ -291,7 +292,7 @@ class Hierarchy:
                                     dt_entry, addr, 1, False, insn)
                         if dc is not None:
                             if ((block := addr >> dc_shift) in (held := dc_sets[block & dc_smask])
-                                    and arg > 0 and (addr + arg - 1) >> dc_shift == block):
+                                    and (addr + arg - 1) >> dc_shift == block):
                                 d_hits += 1
                                 if code == 2:
                                     dc._dirty.add(block)

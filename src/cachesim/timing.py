@@ -42,7 +42,6 @@ class TimingSpec:
     wb_penalty: int = 0
     icache_penalty: int = 0
     branch_stall: int = 0
-    tlb_lat: int = 30
     mem_lat_first: int = 18
     mem_lat_next: int = 2
     mem_width: int = 8

@@ -91,9 +91,11 @@ class TraceRecord(tuple):
 
 
 def inst(addr, ops=1):
-    _check_addr(addr)
-    if ops < 1:
-        raise ValueError(f"ops must be >= 1, got {ops}")
+    if type(addr) is not int or type(ops) is not int or ops < 1 or not 0 <= addr <= MAX_ADDR:
+        _check_addr(addr)
+        _check_int("ops", ops)
+        if ops < 1:
+            raise ValueError(f"ops must be >= 1, got {ops}")
     return TraceRecord((0, addr, ops))
 
 
@@ -127,17 +129,29 @@ def region(name):
     return TraceRecord((5, 0, name))
 
 
+# ``inst`` and ``_check_span`` pass exact ints in range on one test; any other
+# field, a bool too, is checked in order for the message naming its fault.
+
+def _check_int(field, value):
+    if not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 def _check_addr(addr):
+    _check_int("address", addr)
     if not 0 <= addr <= MAX_ADDR:
         raise ValueError(f"address out of range: {addr:#x}")
 
 
 def _check_span(addr, size):
-    _check_addr(addr)
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if addr + size - 1 > MAX_ADDR:
-        raise ValueError(f"{size}-byte access at {addr:#x} runs past the address space")
+    if type(addr) is not int or type(size) is not int \
+            or addr < 0 or size < 1 or addr + size > _ADDR_END:
+        _check_addr(addr)
+        _check_int("size", size)
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        if addr + size - 1 > MAX_ADDR:
+            raise ValueError(f"{size}-byte access at {addr:#x} runs past the address space")
 
 
 # The rows of B and Y records; each is the same for every record of its kind.
@@ -236,15 +250,12 @@ def _int_field(tok, line_no, what):
 
 
 def _check_row(code, addr, arg):
-    """Raise the ValueError of a row that the readers refuse.  An I, L or S
-    row is tested inline, as ``decode_text`` tests it, and one that fails
-    goes to ``inst`` or ``_check_span`` to name the fault."""
+    """Raise the ValueError of a row that the readers refuse: an I, L or S
+    row by the rules of ``inst`` or ``_check_span``."""
     if code == 1 or code == 2:
-        if addr < 0 or arg < 1 or addr + arg > _ADDR_END:
-            _check_span(addr, arg)
+        _check_span(addr, arg)
     elif code == 0:
-        if arg < 1 or not 0 <= addr <= MAX_ADDR:
-            inst(addr, arg)
+        inst(addr, arg)
     elif code == 3 or code == 4 or code == 5:
         if code == 5:
             region(arg)

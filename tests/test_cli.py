@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cachesim import branch, inst, load, region, store, syscall, write_trace_path
-from cachesim.cli import _OPTIONS, main
+from cachesim.cli import _OPTIONS, USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -399,6 +399,35 @@ def test_gen_usage_errors(capsys):
     assert run_cli(capsys, "gen", "loop", "--ws", "64", "--iters", "1", "--start", "3")[0] == 1
     assert run_cli(capsys, "gen", "random", "--range", "64", "--count", "1",
                    "--stride", "8")[0] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    # flags that could change no output: TLB misses add no cycles, and
+    # vex.cfg caches are LRU, so no seed reaches them
+    (["sim", "-tlb:lat", "30", "{trace}"], "unknown flag '-tlb:lat'"),
+    (["vexsim", "-seed", "1", "{cfg}", "{trace}"], "unknown flag '-seed'"),
+    # a flag given last with no value
+    (["sim", "{trace}", "-mem:lat", "18"], "-mem:lat is missing its value"),
+    (["sim", "{trace}", "--clock"], "--clock is missing its value"),
+    # sweep without an axis, or with an empty one
+    (["sweep", "{trace}"], "sweep needs --sets, --bsize and --assoc"),
+    (["sweep", "--sets", "16", "--bsize", "32", "{trace}"],
+     "sweep needs --sets, --bsize and --assoc"),
+    (["sweep", "--sets", ",", "--bsize", "32", "--assoc", "1", "{trace}"],
+     "sweep needs --sets, --bsize and --assoc"),
+    # the generators' count and range errors
+    (["gen", "sequential", "--count", "-1"], "count must be >= 0"),
+    (["gen", "loop", "--ws", "-1", "--iters", "2"],
+     "working_set_bytes and iterations must be >= 0"),
+    (["gen", "loop", "--ws", "64", "--iters", "-2"],
+     "working_set_bytes and iterations must be >= 0"),
+    (["gen", "random", "--range", "0", "--count", "4"], "range_bytes must be >= 1"),
+    (["gen", "random", "--range", "64", "--count", "-4"], "count must be >= 0"),
+])
+def test_command_line_errors_exit_1_with_their_message(capsys, trace_file, cfg_file,
+                                                       argv, message):
+    argv = [a.format(trace=trace_file, cfg=cfg_file) for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n{USAGE}\n")
 
 
 # Every cache geometry in this vocabulary has at most 1024 sets, and the

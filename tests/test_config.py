@@ -98,6 +98,17 @@ def test_non_power_of_two_reports_field():
         parse_cache_spec("dl1:0:32:1:l")
 
 
+@pytest.mark.parametrize("name", ["", " ", "d l1", "dl1\t", "a:b"])
+def test_invalid_cache_name(name):
+    with raises(f"invalid cache name {name!r}"):
+        CacheSpec(name, 256, 32, 1, ReplacementPolicy.LRU).validate()
+    if ":" not in name:  # a colon splits the config string instead
+        with raises(f"invalid cache name {name!r}"):
+            parse_cache_spec(f"{name}:256:32:1:l")
+        with raises(f"invalid cache name {name!r}"):
+            parse_hierarchy_args(["-cache:dl1", f"{name}:256:32:1:l"])
+
+
 def test_unknown_policy():
     with raises("unknown replacement policy 'x': expected 'l', 'f' or 'r'"):
         parse_cache_spec("dl1:256:32:1:x")
@@ -389,12 +400,12 @@ def test_timing_spec_stays_a_frozen_dataclass():
 
     t = TimingSpec()
     assert repr(t) == ("TimingSpec(core_clk_mhz=1, bus_clk_mhz=1, miss_penalty=0, "
-                       "wb_penalty=0, icache_penalty=0, branch_stall=0, tlb_lat=30, "
-                       "mem_lat_first=18, mem_lat_next=2, mem_width=8, num_caches=1)")
+                       "wb_penalty=0, icache_penalty=0, branch_stall=0, mem_lat_first=18, "
+                       "mem_lat_next=2, mem_width=8, num_caches=1)")
     # dataclasses.replace, as the cycle-model benchmark calls it
     t2 = dataclasses.replace(t, icache_penalty=45, miss_penalty=36, num_caches=2)
     assert t2 == TimingSpec(1, 1, 36, 0, 45, num_caches=2) != t
-    assert (t2.miss_penalty, t2.icache_penalty, t2.tlb_lat) == (36, 45, 30)
+    assert (t2.miss_penalty, t2.icache_penalty, t2.num_caches) == (36, 45, 2)
     assert hash(t2) == hash(TimingSpec(miss_penalty=36, icache_penalty=45, num_caches=2))
     with pytest.raises(AttributeError):
         t.miss_penalty = 1

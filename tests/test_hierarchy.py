@@ -1,9 +1,10 @@
 import io
 import random
+import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachesim import (
@@ -82,6 +83,18 @@ def test_single_cache_hierarchy():
     h = build(["-cache:il1", "none", "-cache:il2", "none",
                "-cache:dl2", "none", "-tlb:itlb", "none", "-tlb:dtlb", "none"])
     assert list(h.caches) == ["dl1"]
+
+
+@pytest.mark.parametrize("code", [6, 7, -1, "I", None])
+def test_unknown_kind_code_is_refused(code):
+    # run counts the rows before the bad one; step refuses it alone.
+    message = f"^unknown trace record kind code {re.escape(repr(code))}$"
+    h = build()
+    with pytest.raises(ValueError, match=message):
+        h.run([inst(0x400000), (code, 0, 0), inst(0x400004)], clock=lambda: 0.0)
+    assert (h.sim_num_insn, h.caches["il1"].accesses) == (1, 1)
+    with pytest.raises(ValueError, match=message):
+        build().step((code, 0, 0))
 
 
 def test_duplicate_names_rejected():
@@ -407,6 +420,9 @@ def test_run_over_rows_records_and_steps_agree(args):
 DENSE_CONFIGS = [
     ["-cache:il1", "il1:4:16:1:l", "-cache:dl1", "dl1:4:16:2:l", "-cache:dl2", "ul2:8:32:2:l",
      "-tlb:itlb", "itlb:2:256:1:l", "-tlb:dtlb", "dtlb:2:128:2:l"],
+    # A multi-way LRU itlb, whose hits on the older way reorder its set.
+    ["-cache:il1", "il1:4:16:2:l", "-cache:dl1", "dl1:4:16:2:l", "-cache:dl2", "ul2:8:32:2:l",
+     "-tlb:itlb", "itlb:1:256:2:l", "-tlb:dtlb", "dtlb:2:128:2:l"],
     ["-cache:il1", "il1:4:16:2:f", "-cache:dl1", "dl1:2:16:2:f", "-cache:dl2", "ul2:8:32:2:f",
      "-tlb:itlb", "itlb:1:256:2:f", "-tlb:dtlb", "dtlb:2:128:1:f"],
     ["-cache:il1", "il1:4:16:2:r", "-cache:dl1", "dl1:4:16:2:r", "-cache:dl2", "ul2:8:32:2:r",
@@ -467,6 +483,11 @@ def _dense_trace(draw):
 @settings(max_examples=150, deadline=None)
 @given(rows=_dense_trace(), args=st.sampled_from(DENSE_CONFIGS), flush=st.booleans(),
        seed=st.integers(0, 3))
+# The second fetch of 0 hits the older way of the one-set itlb and of il1's
+# set 0, so both sets reorder; then rows of size 0 or less, whose last byte
+# is in their own block (settled in place) or the block before it.
+@example(rows=[inst(0), inst(512), inst(0), (1, 16, 4), (1, 17, 0), (2, 18, -1), (2, 16, 0)],
+         args=DENSE_CONFIGS[1], flush=False, seed=0)
 def test_run_settles_repeat_blocks_as_steps_do(rows, args, flush, seed):
     # run settles a single-block hit at an entry cache in place; step()
     # always takes the general path.  Both must count the same.

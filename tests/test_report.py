@@ -317,6 +317,15 @@ def test_export_unsupported_format():
         export(sample_sim_report(), "xml")
 
 
+@pytest.mark.parametrize("obj, type_name", [
+    (42, "int"), ("report", "str"), ([SweepRow(16, 32, 1, 0, 0.0), 1], "list"),
+    ({"sim": 1}, "dict"), (BranchCounts(), "BranchCounts")])
+def test_export_unsupported_object(obj, type_name):
+    for fmt in ("csv", "json"):
+        with pytest.raises(TypeError, match=f"^cannot export object of type {type_name}$"):
+            export(obj, fmt)
+
+
 def test_render_sweep_table_text():
     rows = [SweepRow(64, 32, 1, 100, 0.25)]
     text = render_sweep_table(rows)

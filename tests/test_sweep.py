@@ -171,6 +171,12 @@ def test_belady_hand_example():
     assert direct_misses(refs(stream), 1, 32, 2) == 5
 
 
+@pytest.mark.parametrize("assoc", [0, -1, -8])
+def test_belady_refuses_an_associativity_below_1(assoc):
+    with pytest.raises(ValueError, match=f"^assoc must be >= 1, got {assoc}$"):
+        belady_misses(refs([0, 1, 0]), 16, 32, assoc)
+
+
 def test_belady_no_reuse_cannot_help():
     records = refs(list(range(50)))
     assert belady_misses(records, 1, 32, 4) == 50

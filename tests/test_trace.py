@@ -317,13 +317,33 @@ def test_writers_refuse_rows_that_their_readers_refuse(row, message):
         write_trace_binary([syscall(), row])
 
 
+@pytest.mark.parametrize("value", [2.5, 4.0, "16", None])
+@pytest.mark.parametrize("code, field", [(0, "address"), (0, "ops"), (1, "address"),
+                                         (1, "size"), (2, "address"), (2, "size")])
+def test_fields_that_are_not_integers_are_refused_by_name(code, field, value):
+    # The constructors, and both writers through them, name the field; a
+    # bool is an int, and is taken.
+    make = (inst, load, store)[code]
+    args = (value, 4) if field == "address" else (0x10, value)
+    message = f"{field} must be an integer, got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(*args)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_trace([syscall(), (code, *args)])
+    with pytest.raises(ValueError, match=f"^record 2: {message}$"):
+        write_trace_binary([syscall(), (code, *args)])
+    assert make(True, True) == (code, 1, 1)
+
+
 # Rows drawn field by field, valid or not: op counts and sizes of 0, accesses
-# at and past the top of the address space, B and Y rows with other fields,
-# kind codes past R, and region names that are not single tokens.
-_ROW_ADDRS = st.one_of(st.sampled_from([0, 1, MAX_ADDR - 1, MAX_ADDR, MAX_ADDR + 1, -1]),
+# at and past the top of the address space, fields that are floats, B and Y
+# rows with other fields, kind codes past R, and region names that are not
+# single tokens.
+_ROW_ADDRS = st.one_of(st.sampled_from([0, 1, MAX_ADDR - 1, MAX_ADDR, MAX_ADDR + 1, -1, 16.0,
+                                        0.5]),
                        st.integers(0, MAX_ADDR))
-_ROW_ARGS = st.one_of(st.sampled_from([0, 1, 2, 0xFFFF, 0x10000, -1]), st.integers(0, 200),
-                      st.booleans())
+_ROW_ARGS = st.one_of(st.sampled_from([0, 1, 2, 0xFFFF, 0x10000, -1, 4.0, 2.5]),
+                      st.integers(0, 200), st.booleans())
 _ROW_NAMES = st.one_of(st.sampled_from(["main", "TOTAL", "caf\u00e9", "a b", "#", "", "a\rb"]),
                        st.text(max_size=4))
 
