@@ -12,13 +12,25 @@ carried down from above, the one whose next use comes sooner.  Stacks are
 cut at the largest associativity asked for: deeper entries never change a
 miss count.  Each geometry's index function needs its own pass.
 
+``sweep`` reads its trace once, ``_CHUNK`` rows at a time, and feeds each
+chunk's block references to every geometry's LRU pass, which keeps its
+stacks and counts from chunk to chunk: it holds one chunk and the touched
+sets' stacks, however long the trace.  OPT must see the future, so with
+``opt`` each block size's stream is kept as an ``array('Q')`` (with a
+block size of 1 a block number takes all 64 bits) and, one block size at
+a time, its next uses as an ``array('q')``: 16 bytes a reference.
+
 Only Load and Store records are consumed here; write semantics are
 ignored (miss counts only).  Accesses spanning block boundaries count one
 reference per distinct block touched.
 """
 
 import math
+from array import array
 from collections import defaultdict, namedtuple
+from itertools import count, islice
+
+_CHUNK = 1024  # rows per read of a sweep's trace, and block references per LRU feed
 
 
 def block_refs(records, bsize):
@@ -53,29 +65,32 @@ class DistanceHistogram(namedtuple("DistanceHistogram", "nsets bsize counts cold
 
 def _next_uses(stream):
     """Position of each reference's next use of its block, or
-    ``len(stream)`` (later than every real position) when there is none."""
+    ``len(stream)`` (later than every real position) when there is none,
+    as an ``array('q')``."""
     n = len(stream)
-    next_use = [n] * n
+    next_use = array("q", [n]) * n
     last_seen = {}
-    for i in range(n - 1, -1, -1):
-        b = stream[i]
+    for i, b in zip(range(n - 1, -1, -1), reversed(stream)):
         next_use[i] = last_seen.get(b, n)
         last_seen[b] = i
     return next_use
 
 
-def _stack_pass(stream, nsets, bsize, cut=math.inf, next_use=None):
-    """One pass of per-set stacks, at most ``cut`` entries deep, over a
-    block stream; the LRU rule, or the OPT rule when ``next_use`` (from
-    ``_next_uses``) is given.
+def _stack_pass(stream, hist, stacks, cut=math.inf, next_use=None):
+    """Feed a block stream to per-set stacks, at most ``cut`` entries deep,
+    by the LRU rule, or by the OPT rule when ``next_use`` (from
+    ``_next_uses``) is given; return ``hist`` with the stream's references
+    added.
 
-    An LRU stack holds block numbers.  An OPT stack holds, for each block,
-    the position of its next use, which both ranks the block and names the
-    reference that will look for it.  A set's stack is made on first touch.
+    ``hist`` (whose ``counts`` grow in place) and ``stacks`` (a
+    ``defaultdict(list)``: a set's stack is made on first touch) are the
+    state of a pass, so an LRU pass fed a stream in pieces, one call per
+    piece, ends as one fed it whole.  An LRU stack holds block numbers.
+    An OPT stack holds, for each block, the position of its next use,
+    which both ranks the block and names the reference that will look for
+    it; so an OPT pass is fed its whole stream at once.
     """
-    counts = {}
-    stacks = defaultdict(list)
-    cold = 0
+    nsets, counts, cold = hist.nsets, hist.counts, hist.cold
     if next_use is None:
         for b in stream:
             stack = stacks[b % nsets]
@@ -91,7 +106,7 @@ def _stack_pass(stream, nsets, bsize, cut=math.inf, next_use=None):
                 if len(stack) > cut:
                     stack.pop()
     else:
-        for i, b in enumerate(stream):
+        for i, b, nu in zip(count(), stream, next_use):
             stack = stacks[b % nsets]
             if i in stack:
                 d = stack.index(i)
@@ -106,15 +121,16 @@ def _stack_pass(stream, nsets, bsize, cut=math.inf, next_use=None):
                     if stack[j] > carry:
                         stack[j], carry = carry, stack[j]
                 stack[d] = carry
-            stack[0] = next_use[i]
+            stack[0] = nu
             if len(stack) > cut:
                 stack.pop()
-    return DistanceHistogram(nsets, bsize, counts, cold)
+    return hist._replace(cold=cold)
 
 
 def stack_distances(records, nsets, bsize) -> DistanceHistogram:
     """LRU stack distances of every data reference, from one uncut pass."""
-    return _stack_pass(block_refs(records, bsize), nsets, bsize)
+    return _stack_pass(block_refs(records, bsize), DistanceHistogram(nsets, bsize),
+                       defaultdict(list))
 
 
 def misses_for_assoc(hist: DistanceHistogram, assoc: int) -> int:
@@ -132,28 +148,54 @@ class SweepRow(namedtuple("SweepRow", "nsets bsize assoc misses miss_rate policy
     __slots__ = ()
 
 
+def _lru_passes(records, set_counts, cut, streams=None):
+    """Read ``records`` once, ``_CHUNK`` rows at a time, and feed each
+    chunk's block references for every block size ``bsize`` to the LRU
+    pass of each set count in ``set_counts[bsize]``, ``_CHUNK`` references
+    at a time; append them to ``streams[bsize]`` too, when given.  Return
+    the histograms by (nsets, bsize)."""
+    state = {(nsets, bsize): (DistanceHistogram(nsets, bsize), defaultdict(list))
+             for bsize, sets in set_counts.items() for nsets in sets}
+    records = iter(records)
+    while rows := list(islice(records, _CHUNK)):
+        for bsize, sets in set_counts.items():
+            refs = block_refs(rows, bsize)
+            while blocks := list(islice(refs, _CHUNK)):  # a wide row in pieces
+                if streams is not None:
+                    streams[bsize].fromlist(blocks)
+                for nsets in sets:
+                    hist, stacks = state[nsets, bsize]
+                    state[nsets, bsize] = _stack_pass(blocks, hist, stacks, cut), stacks
+        del rows  # before the next chunk is read
+    return {geometry: hist for geometry, (hist, _) in state.items()}
+
+
 def sweep(records, geometries, assocs, opt=False):
     """Evaluate every (geometry x assoc) combination under LRU and, with
-    ``opt``, under OPT: one stack pass per geometry and policy, the block
-    stream built once per block size.  Rows come in ``geometries`` order,
-    all LRU rows first; their policy is None unless ``opt`` is set.
-    ``records`` is any iterable; it is read once."""
+    ``opt``, under OPT: one stack pass per geometry and policy.  Rows come
+    in ``geometries`` order, all LRU rows first; their policy is None
+    unless ``opt`` is set.  ``records`` is any iterable; it is read once,
+    in chunks, and the OPT passes follow the read."""
     if not geometries or not assocs:
         raise ValueError("geometries and assocs must be non-empty")
-    records = list(records)
+    cut = max(assocs)
+    set_counts = {}  # bsize -> the set counts that share its block stream
+    for nsets, bsize in geometries:
+        set_counts.setdefault(bsize, {})[nsets] = None
+    streams = {bsize: array("Q") for bsize in set_counts} if opt else None
+    hists = _lru_passes(records, set_counts, cut, streams)
+    totals = {bsize: hist.total for (_, bsize), hist in hists.items()}
+    misses = {("lru" if opt else None, *geometry): [misses_for_assoc(hist, a) for a in assocs]
+              for geometry, hist in hists.items()}
+    for bsize, sets in set_counts.items() if opt else ():
+        stream = streams.pop(bsize)
+        next_use = _next_uses(stream)
+        for nsets in sets:
+            hist = _stack_pass(stream, DistanceHistogram(nsets, bsize), defaultdict(list), cut,
+                               next_use)
+            misses["opt", nsets, bsize] = [misses_for_assoc(hist, a) for a in assocs]
+        del stream, next_use  # one block size's arrays freed before the next is built
     policies = ("lru", "opt") if opt else (None,)
-    misses = {}  # (policy, nsets, bsize) -> misses per entry of assocs
-    totals = {}
-    for bsize in dict.fromkeys(b for _, b in geometries):
-        stream = list(block_refs(records, bsize))
-        next_use = _next_uses(stream) if opt else None
-        totals[bsize] = len(stream)
-        for nsets in dict.fromkeys(n for n, b in geometries if b == bsize):
-            for policy in policies:
-                hist = _stack_pass(stream, nsets, bsize, max(assocs),
-                                   next_use if policy == "opt" else None)
-                misses[policy, nsets, bsize] = [misses_for_assoc(hist, a) for a in assocs]
-        del stream, next_use  # hold one block size's arrays at a time
     return [SweepRow(nsets, bsize, a, m, m / totals[bsize] if totals[bsize] else 0.0, policy)
             for policy in policies for nsets, bsize in geometries
             for a, m in zip(assocs, misses[policy, nsets, bsize])]
@@ -164,5 +206,6 @@ def belady_misses(records, nsets, bsize, assoc) -> int:
     cut at ``assoc``, after a backward pass that finds each next use."""
     if assoc < 1:
         raise ValueError(f"assoc must be >= 1, got {assoc}")
-    stream = list(block_refs(records, bsize))
-    return _stack_pass(stream, nsets, bsize, assoc, _next_uses(stream)).cold
+    stream = array("Q", block_refs(records, bsize))
+    return _stack_pass(stream, DistanceHistogram(nsets, bsize), defaultdict(list), assoc,
+                       _next_uses(stream)).cold

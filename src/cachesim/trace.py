@@ -118,6 +118,8 @@ def syscall():
 
 
 def region(name):
+    if not isinstance(name, str):
+        raise ValueError(f"region name must be a string, got {name!r}")
     if name.split() != [name] or "#" in name:
         raise ValueError(f"region name must be a single token without '#': {name!r}")
     try:
@@ -251,14 +253,19 @@ def _int_field(tok, line_no, what):
 
 def _check_row(code, addr, arg):
     """Raise the ValueError of a row that the readers refuse: an I, L or S
-    row by the rules of ``inst`` or ``_check_span``."""
+    row by the rules of ``inst`` or ``_check_span``, a field of another
+    that is not an ``int`` (or an R name not a ``str``) by its name."""
+    _check_int("kind code", code)
     if code == 1 or code == 2:
         _check_span(addr, arg)
     elif code == 0:
         inst(addr, arg)
     elif code == 3 or code == 4 or code == 5:
+        _check_int("address", addr)
         if code == 5:
             region(arg)
+        else:
+            _check_int(f"{_KINDS[code]} argument", arg)
         if addr != 0 or code == 3 and arg not in (0, 1) or code == 4 and arg != 0:
             want = ("(3, 0, 0) or (3, 0, 1)", "(4, 0, 0)", "(5, 0, name)")[code - 3]
             raise ValueError(f"{_KINDS[code]} row must be {want}, not {(code, addr, arg)!r}")

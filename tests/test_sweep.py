@@ -1,5 +1,7 @@
 import itertools
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from cachesim import (
     store,
     sweep,
 )
+from cachesim import stack as stack_module
+from cachesim.trace import MAX_ADDR
 from reference import belady_victim_misses, brute_min_misses, data_blocks, direct_misses
 
 
@@ -229,22 +233,80 @@ def test_belady_ignores_non_data_records():
 
 
 @settings(max_examples=200, deadline=None)
-@given(accesses=st.lists(st.tuples(st.booleans(), st.integers(0, 2047),
+@given(accesses=st.lists(st.tuples(st.booleans(),
+                                   st.one_of(st.integers(0, 2047),
+                                             st.integers(MAX_ADDR - 2047, MAX_ADDR)),
                                    st.sampled_from([1, 4, 8, 64])), max_size=120),
        sets=st.lists(st.sampled_from([1, 2, 4, 16]), min_size=1, max_size=3),
-       bsizes=st.lists(st.sampled_from([8, 32, 64]), min_size=1, max_size=2),
-       assocs=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4))
-def test_sweep_matches_lru_cache_and_victim_search_belady(accesses, sets, bsizes, assocs):
-    # 64-byte accesses at unaligned addresses span blocks; lists may repeat
-    # and come unsorted, and the trace may be empty.
-    records = [(store if w else load)(addr, size) for w, addr, size in accesses]
+       bsizes=st.lists(st.sampled_from([1, 8, 32, 64]), min_size=1, max_size=2),
+       assocs=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4),
+       opt=st.booleans(), chunk=st.integers(1, 60), wide_at=st.none() | st.integers(0, 120))
+def test_sweep_matches_lru_cache_and_victim_search_belady(accesses, sets, bsizes, assocs, opt,
+                                                          chunk, wide_at):
+    # 64-byte accesses at unaligned addresses span blocks; near the top of
+    # the address space, at a block size of 1, a block number takes all 64
+    # bits; the row at ``wide_at`` spans more blocks than a chunk holds.
+    # Lists may repeat and come unsorted, and the trace may be empty.
+    records = [(store if w else load)(addr, min(size, MAX_ADDR - addr + 1))
+               for w, addr, size in accesses]
+    if wide_at is not None:
+        records.insert(wide_at, load(0x7F0, (chunk + 1) * max(bsizes)))
     geometries = [(n, b) for n in sets for b in bsizes]
-    want = [("lru", n, b, a, direct_misses(records, n, b, a))
+    want = [("lru" if opt else None, n, b, a, direct_misses(records, n, b, a))
             for n, b in geometries for a in assocs]
-    want += [("opt", n, b, a, belady_victim_misses(data_blocks(records, b), n, a))
-             for n, b in geometries for a in assocs]
-    rows = sweep(records, geometries, assocs, opt=True)
+    if opt:
+        want += [("opt", n, b, a, belady_victim_misses(data_blocks(records, b), n, a))
+                 for n, b in geometries for a in assocs]
+    with mock.patch.object(stack_module, "_CHUNK", chunk):
+        rows = sweep(iter(records), geometries, assocs, opt=opt)
     assert [(r.policy, r.nsets, r.bsize, r.assoc, r.misses) for r in rows] == want
     for r in rows:
         total = len(data_blocks(records, r.bsize))
         assert r.miss_rate == (r.misses / total if total else 0.0)
+
+
+def _peak(run):
+    """``run()``'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _loads(seed, n, span):
+    """A generator of ``n`` one-byte loads over ``span`` bytes."""
+    rng = random.Random(seed)
+    return (load(rng.randrange(span), 1) for _ in range(n))
+
+
+def test_an_lru_sweep_holds_a_chunk_and_its_stacks_not_the_trace():
+    geometries = [(16, 32), (64, 32), (64, 64)]
+    small, small_peak = _peak(lambda: sweep(_loads(1, 20_000, 1 << 20), geometries, [1, 2, 4, 8]))
+    large, large_peak = _peak(lambda: sweep(_loads(1, 200_000, 1 << 20), geometries,
+                                            [1, 2, 4, 8]))
+    assert sum(r.misses for r in small) < sum(r.misses for r in large)
+    # Both hold one chunk of rows and its block references, and stacks of at
+    # most 64 sets x 8 blocks.  The 180,000 more rows, listed, would add
+    # about 18 MB.
+    assert large_peak < small_peak + 128 * 1024, (small_peak, large_peak)
+
+
+def test_an_opt_sweep_holds_16_bytes_per_reference():
+    n = 100_000
+    rows, peak = _peak(lambda: sweep(_loads(2, n, 1 << 16), [(16, 32), (64, 32)], [1, 4],
+                                     opt=True))
+    assert rows[-1].misses > 0
+    # The block stream (array 'Q') and its next uses (array 'q') take 16 B
+    # a reference; the constant holds a chunk, the stacks and the last use
+    # of each of the 2,048 blocks of 64 KiB.  A listed trace and stream
+    # would take over 150 B a reference.
+    assert peak < 24 * n + 512 * 1024, peak
+
+
+def test_a_row_wider_than_a_chunk_is_fed_in_pieces():
+    rows, peak = _peak(lambda: sweep([load(0, 1_000_000)], [(1, 1)], [1]))
+    assert rows == [SweepRow(1, 1, 1, 1_000_000, 1.0)]
+    # A million block references would take over 30 MB as a list.
+    assert peak < 256 * 1024, peak

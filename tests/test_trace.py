@@ -307,6 +307,11 @@ def test_binary_writer_refuses_what_ctb_cannot_hold():
     ((4, 0, 1), r"Y row must be \(4, 0, 0\), not \(4, 0, 1\)"),
     ((5, 3, "main"), r"R row must be \(5, 0, name\), not \(5, 3, 'main'\)"),
     ((6, 0, 0), "unknown record kind code 6"),
+    ((3, 0.0, 1.0), "address must be an integer, got 0.0"),
+    ((3, 0, 1.0), "B argument must be an integer, got 1.0"),
+    ((4, 0.0, 0), "address must be an integer, got 0.0"),
+    ((5, 0, 5), "region name must be a string, got 5"),
+    ((1.0, 16, 4), "kind code must be an integer, got 1.0"),
 ])
 def test_writers_refuse_rows_that_their_readers_refuse(row, message):
     # The text writer raises the message of the rule broken, the binary
@@ -387,6 +392,8 @@ def test_file_round_trip(tmp_path):
 def test_region_name_validation():
     with pytest.raises(ValueError):
         region("two words")
+    with pytest.raises(ValueError, match="^region name must be a string, got 5$"):
+        region(5)
     with pytest.raises(ValueError):
         region("")
     with pytest.raises(ValueError):
