@@ -24,11 +24,15 @@ whose items are the row, so whatever walks a trace (``for code, addr,
 arg in records``) takes decoder rows and TraceRecords alike.  The
 constructors ``inst``, ``load``, ``store``, ``branch``, ``syscall`` and
 ``region`` hold every rule a record keeps and return the view of its row.
-Both writers check each row by those rules, so what they write reads back.
+An op count, a size and a name's UTF-8 length are bounded at 65,535, the
+most the 2-byte ``.ctb`` field holds, so both formats hold the same
+records.  Both writers check each row by those rules, so what they write
+reads back.
 
 Each format has one decoder that yields rows.  ``decode_text`` takes
-text lines one at a time; it tests the fields of a line inline and calls
-a check that names the fault only when a test fails.  ``read_rows`` reads
+text lines one at a time; it tests the fields of a line inline and, when
+a test fails, names a token that is not a number or passes the values to
+``inst`` or ``load``, whose message names the fault.  ``read_rows`` reads
 a ``.ct`` file in chunks of whole lines (``_TEXT_CHUNK`` bytes and the
 rest of the last line), decodes each chunk's UTF-8 once and splits it on
 ``"\\n"``, the only line end, so its memory is one chunk, not the file.  A
@@ -91,11 +95,10 @@ class TraceRecord(tuple):
 
 
 def inst(addr, ops=1):
-    if type(addr) is not int or type(ops) is not int or ops < 1 or not 0 <= addr <= MAX_ADDR:
+    if type(addr) is not int or type(ops) is not int or not 0 < ops <= 0xFFFF \
+            or not 0 <= addr <= MAX_ADDR:
         _check_addr(addr)
-        _check_int("ops", ops)
-        if ops < 1:
-            raise ValueError(f"ops must be >= 1, got {ops}")
+        _check_count("ops", ops)
     return TraceRecord((0, addr, ops))
 
 
@@ -145,13 +148,17 @@ def _check_addr(addr):
         raise ValueError(f"address out of range: {addr:#x}")
 
 
+def _check_count(field, value):
+    _check_int(field, value)
+    if not 0 < value <= 0xFFFF:
+        raise ValueError(f"{field} must be 1 to 65535, got {value}")
+
+
 def _check_span(addr, size):
     if type(addr) is not int or type(size) is not int \
-            or addr < 0 or size < 1 or addr + size > _ADDR_END:
+            or addr < 0 or not 0 < size <= 0xFFFF or addr + size > _ADDR_END:
         _check_addr(addr)
-        _check_int("size", size)
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
+        _check_count("size", size)
         if addr + size - 1 > MAX_ADDR:
             raise ValueError(f"{size}-byte access at {addr:#x} runs past the address space")
 
@@ -188,7 +195,7 @@ def decode_text(lines, start=1):
                     raise TraceSyntaxError(line_no, "I takes an address and optional op count")
                 ops = int(toks[2]) if len(toks) == 3 else 1
                 addr = int(toks[1], 16)
-                if ops < 1 or not 0 <= addr <= MAX_ADDR:
+                if not 0 < ops <= 0xFFFF or not 0 <= addr <= MAX_ADDR:
                     raise ValueError
                 yield (0, addr, ops)
             elif kind == "L" or kind == "S":
@@ -196,7 +203,7 @@ def decode_text(lines, start=1):
                     raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
                 addr = int(toks[1], 16)
                 size = int(toks[2])
-                if addr < 0 or size < 1 or addr + size > _ADDR_END:
+                if addr < 0 or not 0 < size <= 0xFFFF or addr + size > _ADDR_END:
                     raise ValueError
                 yield (1 if kind == "L" else 2, addr, size)
             elif kind == "B":
@@ -221,34 +228,19 @@ def decode_text(lines, start=1):
 
 def _field_error(toks, line_no):
     """Raise the error of an I, L or S line whose fields failed the inline
-    tests, checking them in order: an I line's op count before its address."""
-    if toks[0] == "I":
-        if len(toks) == 3:
-            _int_field(toks[2], line_no, "op count")
-        _hex_field(toks[1], line_no)
-    else:
-        addr = _hex_field(toks[1], line_no)
-        _checked(line_no, load, addr, _int_field(toks[2], line_no, "size"))  # past MAX_ADDR
+    tests: a token that is not a number by its name, else the fault that
+    ``inst`` or ``load`` names."""
+    args = [_number(toks[1], 16, line_no, "hex address")]
+    if len(toks) == 3:
+        args.append(_number(toks[2], 10, line_no, "op count" if toks[0] == "I" else "size"))
+    _checked(line_no, inst if toks[0] == "I" else load, *args)
 
 
-def _hex_field(tok, line_no):
+def _number(tok, base, line_no, what):
     try:
-        addr = int(tok, 16)
-    except ValueError:
-        raise TraceSyntaxError(line_no, f"bad hex address {tok!r}") from None
-    if not 0 <= addr <= MAX_ADDR:
-        raise TraceSyntaxError(line_no, f"address out of range {tok!r}")
-    return addr
-
-
-def _int_field(tok, line_no, what):
-    try:
-        v = int(tok)
+        return int(tok, base)
     except ValueError:
         raise TraceSyntaxError(line_no, f"bad {what} {tok!r}") from None
-    if v < 1:
-        raise TraceSyntaxError(line_no, f"bad {what} {tok!r}: must be >= 1")
-    return v
 
 
 def _check_row(code, addr, arg):
@@ -299,22 +291,18 @@ _TEXT_CHUNK = 4096  # bytes per .ct read, before the rest of its last line
 
 def write_trace_binary(records):
     """Render records (or rows) as .ctb bytes; a row that the readers refuse
-    (see ``_check_row``) or that .ctb cannot hold raises a ValueError naming
-    its 1-based ordinal."""
+    (see ``_check_row``) raises a ValueError naming its 1-based ordinal."""
     chunks = []
     for n, (code, addr, arg) in enumerate(records, 1):
         try:
             _check_row(code, addr, arg)
-            if code == 5:
-                name = arg.encode("utf-8")
-                chunks.append(_REC.pack(5, 0, len(name)) + name)
-            else:
-                chunks.append(_REC.pack(code, addr, arg))
-        except struct.error:
-            raise ValueError(f"record {n}: a .ctb record holds a size, op count or "
-                             f"name length of 0 to 65535 and a 64-bit address") from None
         except ValueError as exc:
             raise ValueError(f"record {n}: {exc}") from None
+        if code == 5:
+            name = arg.encode("utf-8")
+            chunks.append(_REC.pack(5, 0, len(name)) + name)
+        else:
+            chunks.append(_REC.pack(code, addr, arg))
     return b"".join(chunks)
 
 

@@ -426,14 +426,16 @@ def parse_trace(lines):
             if kind == "I":
                 if len(toks) not in (2, 3):
                     raise TraceSyntaxError(line_no, "I takes an address and optional op count")
+                addr = _hex_field(toks[1], line_no)
                 ops = _int_field(toks[2], line_no, "op count") if len(toks) == 3 else 1
-                yield inst(_hex_field(toks[1], line_no), ops)
+                yield inst(_in_range(addr), _count("ops", ops))
             elif kind == "L" or kind == "S":
                 if len(toks) != 3:
                     raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
                 addr = _hex_field(toks[1], line_no)
                 size = _int_field(toks[2], line_no, "size")
-                yield load(addr, size) if kind == "L" else store(addr, size)
+                make = load if kind == "L" else store
+                yield make(_in_range(addr), _count("size", size))
             elif kind == "B":
                 if len(toks) != 2 or toks[1] not in ("T", "N"):
                     raise TraceSyntaxError(line_no, "B takes T or N")
@@ -454,24 +456,33 @@ def parse_trace(lines):
             raise TraceSyntaxError(line_no, str(exc)) from None
 
 
+# Each token's syntax is checked before any value's range, and an op count
+# or a size is bounded by what the 2-byte .ctb field holds.
+
 def _hex_field(tok, line_no):
     try:
-        addr = int(tok, 16)
+        return int(tok, 16)
     except ValueError:
         raise TraceSyntaxError(line_no, f"bad hex address {tok!r}") from None
-    if not 0 <= addr <= MAX_ADDR:
-        raise TraceSyntaxError(line_no, f"address out of range {tok!r}")
-    return addr
 
 
 def _int_field(tok, line_no, what):
     try:
-        v = int(tok)
+        return int(tok)
     except ValueError:
         raise TraceSyntaxError(line_no, f"bad {what} {tok!r}") from None
-    if v < 1:
-        raise TraceSyntaxError(line_no, f"bad {what} {tok!r}: must be >= 1")
-    return v
+
+
+def _in_range(addr):
+    if not 0 <= addr <= MAX_ADDR:
+        raise ValueError(f"address out of range: {addr:#x}")
+    return addr
+
+
+def _count(field, value):
+    if not 1 <= value <= 65535:
+        raise ValueError(f"{field} must be 1 to 65535, got {value}")
+    return value
 
 
 def parse_trace_binary(data):

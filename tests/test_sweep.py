@@ -306,7 +306,8 @@ def test_an_opt_sweep_holds_16_bytes_per_reference():
 
 
 def test_a_row_wider_than_a_chunk_is_fed_in_pieces():
-    rows, peak = _peak(lambda: sweep([load(0, 1_000_000)], [(1, 1)], [1]))
-    assert rows == [SweepRow(1, 1, 1, 1_000_000, 1.0)]
-    # A million block references would take over 30 MB as a list.
+    # The widest row, 65,535 one-byte blocks, is 64 chunks of block references.
+    rows, peak = _peak(lambda: sweep([load(0, 0xFFFF)], [(1, 1)], [1]))
+    assert rows == [SweepRow(1, 1, 1, 0xFFFF, 1.0)]
+    # 65,535 block references would take over 2 MB as a list.
     assert peak < 256 * 1024, peak

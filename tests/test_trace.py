@@ -81,8 +81,8 @@ def test_parse_errors_carry_line_numbers():
         list(parse_trace(["Q 10"]))
     with pytest.raises(TraceSyntaxError):
         list(parse_trace(["L 1ffffffffffffffff 4"]))  # past 2^64-1
-    with pytest.raises(TraceSyntaxError, match="bad op count '0'"):
-        list(parse_trace(["I zz 0"]))  # the op count is checked before the address
+    with pytest.raises(TraceSyntaxError, match="bad hex address 'zz'"):
+        list(parse_trace(["I zz 0"]))  # each token's syntax is checked before any range
 
 
 def _packed(rows):
@@ -287,8 +287,9 @@ def test_binary_writer_refuses_what_ctb_cannot_hold():
     longest = "n" * 0xFFFF
     records = [load(0, 0xFFFF), inst(0, 0xFFFF), region(longest)]
     assert list(parse_trace_binary(write_trace_binary(records))) == records
-    for rows in ([load(0, 70000)], [(0, 0, 1), (0, 0, 0x10000)]):
-        with pytest.raises(ValueError, match=f"^record {len(rows)}: .* 0 to 65535 "):
+    for rows, message in (([(1, 0, 70000)], "size must be 1 to 65535, got 70000"),
+                          ([(0, 0, 1), (0, 0, 0x10000)], "ops must be 1 to 65535, got 65536")):
+        with pytest.raises(ValueError, match=f"^record {len(rows)}: {message}$"):
             write_trace_binary(rows)
     with pytest.raises(ValueError, match="^record 2: region name is 65536 bytes of UTF-8, "
                                          "over the limit of 65535$"):
@@ -298,8 +299,8 @@ def test_binary_writer_refuses_what_ctb_cannot_hold():
 
 
 @pytest.mark.parametrize("row, message", [
-    ((0, 5, 0), "ops must be >= 1, got 0"),
-    ((1, 16, 0), "size must be >= 1, got 0"),
+    ((0, 5, 0), "ops must be 1 to 65535, got 0"),
+    ((1, 16, 0), "size must be 1 to 65535, got 0"),
     ((2, MAX_ADDR, 5), "5-byte access at 0xffffffffffffffff runs past the address space"),
     ((0, -1, 1), "address out of range: -0x1"),
     ((3, 0, 2), r"B row must be \(3, 0, 0\) or \(3, 0, 1\), not \(3, 0, 2\)"),
@@ -312,6 +313,8 @@ def test_binary_writer_refuses_what_ctb_cannot_hold():
     ((4, 0.0, 0), "address must be an integer, got 0.0"),
     ((5, 0, 5), "region name must be a string, got 5"),
     ((1.0, 16, 4), "kind code must be an integer, got 1.0"),
+    ((0, 5, 0x10000), "ops must be 1 to 65535, got 65536"),
+    ((2, 16, 100000), "size must be 1 to 65535, got 100000"),
 ])
 def test_writers_refuse_rows_that_their_readers_refuse(row, message):
     # The text writer raises the message of the rule broken, the binary
@@ -368,14 +371,17 @@ def _drawn_rows(draw):
 @given(rows=_drawn_rows())
 def test_writers_write_only_rows_that_read_back(rows):
     # Each writer refuses a row with a ValueError, or what it writes
-    # decodes to the rows it was given.
+    # decodes to the rows it was given; both refuse the same rows.
+    refused = []
     for write, decode in ((write_trace, lambda text: decode_text(text.split("\n"))),
                           (write_trace_binary, lambda data: decode_binary(io.BytesIO(data)))):
         try:
             written = write(rows)
         except ValueError:
+            refused.append(write)
             continue
         assert list(decode(written)) == rows
+    assert len(refused) in (0, 2), refused
 
 
 def test_file_round_trip(tmp_path):
@@ -470,6 +476,28 @@ def test_ct_and_ctb_both_refuse_a_name_of_65536_bytes(tmp_path, capsys, name):
         write_trace_binary([syscall(), (5, 0, name)])
 
 
+@pytest.mark.parametrize("line, want", [
+    ("L 0 100000000000", "size must be 1 to 65535, got 100000000000"),
+    ("S 10 65536", "size must be 1 to 65535, got 65536"),
+    ("I 0 65536", "ops must be 1 to 65535, got 65536"),
+    ("L 0 65535", (1, 0, 0xFFFF)),
+    ("I 0 65535", (0, 0, 0xFFFF)),
+])
+def test_ct_bounds_a_size_and_an_op_count_as_ctb_does(tmp_path, capsys, line, want):
+    # A .ct line holds no more than a .ctb record, so no 17-byte file makes
+    # sim or sweep walk billions of blocks.
+    ct = tmp_path / "t.ct"
+    ct.write_text(line + "\n")
+    if isinstance(want, tuple):
+        assert list(read_rows(ct)) == [want]
+        return
+    with pytest.raises(TraceSyntaxError, match=f"^trace line 1: {want}$"):
+        list(read_rows(ct))
+    for argv in (["sim", "--clock", "1"], ["sweep", "--sets", "1", "--bsize", "32", "--assoc", "1"]):
+        assert main(argv + [str(ct)]) == 2
+        assert capsys.readouterr().err == f"error: trace line 1: {want}\n"
+
+
 def test_gen_sequential():
     records = gen_sequential(0, 4, 32)
     assert [r.addr for r in records] == [0, 32, 64, 96]
@@ -546,7 +574,7 @@ def _records(draw, valid=True):
 
 
 # Tokens that break a record: bad numbers, out-of-range values, bad kinds.
-_BAD_TOKENS = ["zz", "0", "-1", "+2", "1ffffffffffffffff", "1_0", "X", "Q", "T"]
+_BAD_TOKENS = ["zz", "0", "-1", "+2", "65536", "1ffffffffffffffff", "1_0", "X", "Q", "T"]
 
 
 def _tokens(r):
