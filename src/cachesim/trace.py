@@ -43,17 +43,16 @@ decoder's reason.  ``decode_binary`` reads a ``.ctb`` file in chunks of
 the tuple ``struct.iter_unpack`` gives them, with no Python frame per
 record: one match of the compiled ``_PLAIN_RECORDS`` pattern finds a run
 (of at most ``_RUN`` bytes, as the match's memory grows with its run),
-and ``iter_unpack`` over it yields the rows.  Every other record, a
-region marker, a record in error or a rare valid one such as a B record
-whose address field is not 0, takes the per-record path ``_record``,
-which yields its row or raises its TraceSyntaxError; an I, L or S record
-there is checked by ``inst``, ``load`` or ``store``.  A partial record
-is carried over to the next chunk and the rest of a name that runs past
-its chunk is read from the file, so the memory is one chunk and one
-name, not the file.  ``parse_trace``, ``parse_trace_binary`` and
-``read_trace_path`` map ``TraceRecord`` over them; ``read_rows`` opens a
-file of either format as rows, holding it open from the first row asked
-for to the last, or until dropped.
+and ``iter_unpack`` over it yields the rows.  Every other record (a
+region marker, a record in error, or an L or S record whose address's
+top byte is 0xFF) is checked by the writers' ``_check_row``, a region
+marker once its name's UTF-8 is decoded, so the reader refuses the rows
+the writers refuse, in their words.  A partial record, or a region record
+whose name runs past its chunk, is carried over to the next chunk, so the
+memory is one chunk and one name, not the file.  ``parse_trace``,
+``parse_trace_binary`` and ``read_trace_path`` map ``TraceRecord`` over
+them; ``read_rows`` opens a file of either format as rows, holding it
+open from the first row asked for to the last, or until dropped.
 """
 
 import io
@@ -170,8 +169,8 @@ _TAKEN, _NOT_TAKEN, _SYSCALL = branch(True), branch(False), syscall()
 def _checked(n, make, *args):
     """``make(*args)``, a ValueError from it raised as record ``n``'s
     TraceSyntaxError.  The decoders check the common case inline and call
-    the record constructors only for a rare or failing record, so each
-    rule and its message live in the constructors alone."""
+    the record constructors or ``_check_row`` only for a rare or failing
+    record, so each rule and its message live in one place."""
     try:
         return make(*args)
     except ValueError as exc:
@@ -326,14 +325,14 @@ def decode_binary(fh):
 def _binary_stretches(fh):
     """Iterables of rows, in order, from a binary file object: one
     ``iter_unpack`` per run of plain records, and a one-row tuple for each
-    record between runs."""
+    record between runs, which ``_check_row`` checks."""
     rec = _REC.size
     n = 0  # records decoded
-    buf = b""  # bytes not yet decoded: a partial record
+    buf = b""  # bytes not yet decoded: a partial record or region name
     while data := fh.read(_CHUNK):
         buf += data
         off = 0
-        while len(buf) - off >= rec:  # a whole record left
+        while len(buf) - off >= rec:  # a whole fixed part left
             stop = off + _RUN
             end = _PLAIN_RECORDS.match(buf, off, stop).end()
             if end > off:
@@ -341,43 +340,20 @@ def _binary_stretches(fh):
                 n += (end - off) // rec
                 off = end
             if off < stop and len(buf) - off >= rec:  # a record that is not plain
+                code, addr, arg = _REC.unpack_from(buf, off)
+                end = off + rec + (arg if code == 5 else 0)  # a region name's arg bytes follow
+                if end > len(buf):  # the name runs past this read: carry the record over
+                    break
                 n += 1
-                row, off = _record(fh, buf, off, n)
-                yield (row,)
+                if code == 5:
+                    arg = _checked(n, bytes.decode, buf[end - arg:end], "utf-8")
+                _checked(n, _check_row, code, addr, arg)
+                off = end
+                yield ((code, addr, arg),)
         buf = buf[off:]
     if buf:
-        raise TraceSyntaxError(n + 1, "truncated record")
-
-
-def _record(fh, buf, at, n):
-    """The row of record ``n``, which starts at ``buf[at]`` and is not plain,
-    and the offset in ``buf`` past it.  It is a region marker, a record in
-    error (raised as TraceSyntaxError) or a rare valid one, such as a B
-    record whose address field is not 0.  An I, L or S record is checked
-    by its constructor, whose message names the fault."""
-    code, addr, val = _REC.unpack_from(buf, at)
-    at += _REC.size
-    if code == 5:  # a region record: its name's val bytes follow the fixed part
-        name = buf[at:at + val]
-        if len(name) < val:
-            # One read finishes the name: read_rows' buffered file and
-            # parse_trace_binary's BytesIO read short only at end of file.
-            name += fh.read(val - len(name))
-            if len(name) < val:
-                raise TraceSyntaxError(n, "truncated region name")
-        try:
-            return region(name.decode("utf-8")), min(at + val, len(buf))
-        except ValueError as exc:  # not UTF-8, or not a region name
-            raise TraceSyntaxError(n, str(exc)) from None
-    if code <= 2:
-        return _checked(n, (inst, load, store)[code], addr, val), at
-    if code == 3:
-        if val > 1:
-            raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
-        return (_TAKEN if val else _NOT_TAKEN), at
-    if code == 4:
-        return _SYSCALL, at
-    raise TraceSyntaxError(n, f"unknown kind code {code}")
+        raise TraceSyntaxError(n + 1, "truncated record" if len(buf) < rec
+                               else "truncated region name")
 
 
 def parse_trace(lines):

@@ -498,7 +498,7 @@ def parse_trace_binary(data):
         off += _REC.size
         kind = _CODE_KINDS.get(code)
         if kind is None:
-            raise TraceSyntaxError(n, f"unknown kind code {code}")
+            raise TraceSyntaxError(n, f"unknown record kind code {code}")
         try:
             if kind == "I":
                 yield inst(addr, val)
@@ -506,17 +506,21 @@ def parse_trace_binary(data):
                 yield load(addr, val)
             elif kind == "S":
                 yield store(addr, val)
-            elif kind == "B":
-                if val not in (0, 1):
-                    raise TraceSyntaxError(n, f"bad branch flag {val}: must be 0 or 1")
-                yield branch(val == 1)
-            elif kind == "Y":
-                yield syscall()
-            else:
+            elif kind == "R":
                 if off + val > size:
                     raise TraceSyntaxError(n, "truncated region name")
-                yield region(data[off : off + val].decode("utf-8"))
+                name = data[off : off + val].decode("utf-8")
                 off += val
+                record = region(name)  # a bad name is named before a bad address
+                if addr != 0:
+                    raise ValueError(f"R row must be (5, 0, name), not {(code, addr, name)!r}")
+                yield record
+            else:  # B or Y: every field but the branch flag is 0
+                allowed = [(3, 0, 0), (3, 0, 1)] if kind == "B" else [(4, 0, 0)]
+                if (code, addr, val) not in allowed:
+                    raise ValueError(f"{kind} row must be {' or '.join(map(str, allowed))}, "
+                                     f"not {(code, addr, val)!r}")
+                yield branch(val == 1) if kind == "B" else syscall()
         except ValueError as exc:
             if isinstance(exc, TraceSyntaxError):
                 raise

@@ -384,6 +384,12 @@ def test_gen_usage_errors(capsys):
     assert run_cli(capsys, "gen", "spiral", "--count", "4")[0] == 1
     assert run_cli(capsys, "gen", "sequential")[0] == 1
     assert run_cli(capsys, "gen", "sequential", "--count", "4", "--stride", "0")[0] == 1
+    # gen loop over a stride below 1 would write an empty trace
+    for stride in ("-8", "0"):
+        code, out, err = run_cli(capsys, "gen", "loop", "--ws", "64", "--iters", "2",
+                                 "--stride", stride)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stride must be >= 1\n")
     assert run_cli(capsys, "gen", "sequential", "--count", "4", "--bogus", "1")[0] == 1
     # the messages of a missing flag and an unknown kind
     assert run_cli(capsys, "gen", "random", "--count", "4")[2].startswith(

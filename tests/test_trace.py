@@ -7,7 +7,7 @@ import struct
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -277,8 +277,8 @@ def test_binary_branch_flag_is_0_or_1():
     for val in (2, 7, 0xFFFF):
         data = good[:-2] + val.to_bytes(2, "little")
         for parse in (parse_trace_binary, reference.parse_trace_binary):
-            with pytest.raises(TraceSyntaxError,
-                               match=f"^trace line 3: bad branch flag {val}: must be 0 or 1$"):
+            message = f"trace line 3: B row must be (3, 0, 0) or (3, 0, 1), not (3, 0, {val})"
+            with pytest.raises(TraceSyntaxError, match=f"^{re.escape(message)}$"):
                 list(parse(data))
 
 
@@ -735,6 +735,35 @@ def test_binary_decoders_match_the_oracle_on_drawn_records(scratch_dir, blob, ch
         assert _outcome(decode_binary(io.BytesIO(blob))) == want
 
 
+@st.composite
+def _ctb_rows(draw):
+    """Rows that a .ctb record can hold, drawn as ``_raw_ctb`` draws its
+    records, with region names as ``_drawn_rows`` draws them."""
+    return [(code, draw(_RAW_ADDRS), draw(_ROW_NAMES if code == 5 else _RAW_ARGS))
+            for code in draw(st.lists(_CODES, max_size=12))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_ctb_rows(), chunk=st.one_of(_READ_SIZES, st.just(trace._CHUNK)))
+@example(rows=[(3, 5, 1)], chunk=trace._CHUNK)  # a taken branch with an address
+def test_ctb_reader_refuses_the_rows_the_writer_refuses(scratch_dir, rows, chunk):
+    # Each row packed as it stands reads back, or the first that
+    # write_trace_binary refuses is refused at its ordinal, in its words.
+    blob = b"".join(trace._REC.pack(code, addr, len(arg.encode())) + arg.encode() if code == 5
+                    else trace._REC.pack(code, addr, arg) for code, addr, arg in rows)
+    try:
+        write_trace_binary(rows)
+        want = _fields(rows), None
+    except ValueError as exc:
+        n, message = re.fullmatch(r"record (\d+): (.*)", str(exc), re.S).groups()
+        want = _fields(rows[:int(n) - 1]), (f"trace line {n}: {message}", int(n))
+    path = scratch_dir / "rows.ctb"
+    path.write_bytes(blob)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_CHUNK", chunk)
+        assert _outcome(read_rows(path)) == want
+
+
 @pytest.mark.parametrize("run", [2, 256])
 @pytest.mark.parametrize("chunk", [1, 7, 33, trace._CHUNK])
 def test_plain_records_never_take_the_per_record_path(monkeypatch, chunk, run):
@@ -742,15 +771,15 @@ def test_plain_records_never_take_the_per_record_path(monkeypatch, chunk, run):
     plain = [inst(0x400000), inst(MAX_ADDR, 0xFFFF), load(0x7fff0, 4), store(0xFEFF << 48, 0xFFFF),
              load(MAX_ADDR >> 8, 0x100), branch(True), branch(False), syscall(), store(0, 1)]
     rows = (plain * 40 + [region("f")] + plain + [region("caf\u00e9"), region("g")]) * 3
-    marker, calls = trace._record, []
+    blob, check, calls = write_trace_binary(rows), trace._check_row, []
 
-    def markers_only(fh, buf, at, n):
-        assert buf[at] == 5, f"record {n} (kind code {buf[at]}) left its run"
-        calls.append(n)
-        return marker(fh, buf, at, n)
+    def markers_only(code, addr, arg):
+        assert code == 5, f"record {(code, addr, arg)!r} left its run"
+        calls.append(arg)
+        return check(code, addr, arg)
 
-    monkeypatch.setattr(trace, "_record", markers_only)
+    monkeypatch.setattr(trace, "_check_row", markers_only)
     monkeypatch.setattr(trace, "_CHUNK", chunk)
     monkeypatch.setattr(trace, "_RUN", trace._REC.size * run)
-    assert list(decode_binary(io.BytesIO(write_trace_binary(rows)))) == rows
-    assert calls == [n for n, row in enumerate(rows, 1) if row[0] == 5]
+    assert list(decode_binary(io.BytesIO(blob))) == rows
+    assert calls == [row[2] for row in rows if row[0] == 5]
