@@ -2,13 +2,14 @@
 
 A block address splits as block = addr // bsize, set = block % nsets,
 tag = block // nsets.  Each set is one list of the block numbers it holds,
-at most assoc of them.  A miss appends while the set has room; once it is
-full the victim comes from the replacement policy.  LRU and FIFO keep the
-list oldest first, so the victim is its head: a fill appends, and only an
-LRU hit moves its block to the end.  RANDOM keeps list index = way and
-replaces a way drawn from a seeded xorshift64* generator owned by the
-cache, so runs are reproducible.  Dirty lines are one set of block numbers
-per cache.
+at most assoc of them, made when a trace first touches the set, so a cache
+of any geometry holds memory only for the sets it touches.  A miss appends
+while the set has room; once it is full the victim comes from the
+replacement policy.  LRU and FIFO keep the list oldest first, so the victim
+is its head: a fill appends, and only an LRU hit moves its block to the
+end.  RANDOM keeps list index = way and replaces a way drawn from a seeded
+xorshift64* generator owned by the cache, so runs are reproducible.  Dirty
+lines are one set of block numbers per cache.
 
 Six event counters are maintained: accesses, hits, misses, replacements,
 writebacks, invalidations.  accesses == hits + misses always holds.
@@ -18,7 +19,7 @@ hierarchy writes a dirty victim back to it, and ``outcome`` derives the
 victim's tag from it.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .config import CacheSpec, ReplacementPolicy
 
@@ -68,10 +69,11 @@ class AccessOutcome(namedtuple("AccessOutcome", "hit evicted_tag evicted_dirty",
 class Cache:
     """Mutable cache state; single-owner, not safe for concurrent mutation.
 
-    ``_sets[si]`` lists the block numbers set si holds and ``_dirty`` is
-    the set of resident dirty block numbers.  The set lists and ``_dirty``
-    only ever change in place (``flush`` clears them), so the hierarchy
-    binds them once per walk and settles a hit at an entry cache as
+    ``_sets`` is a ``defaultdict(list)``: ``_sets[si]`` lists the block
+    numbers set si holds, and an untouched set has no entry.  ``_dirty`` is
+    the set of resident dirty block numbers.  ``_sets`` and ``_dirty`` only
+    ever change in place (``flush`` empties them), so the hierarchy binds
+    them once per walk and settles a hit at an entry cache as
     ``_access`` would: the block is in its set, a store adds it to
     ``_dirty``, and under LRU it moves to the end of its set's list.
     """
@@ -79,20 +81,19 @@ class Cache:
     __slots__ = (
         "name", "nsets", "bsize", "assoc",
         "_bshift", "_smask", "_tshift",
-        "_sets", "_filled", "_dirty", "_lru", "_rand", "_rng",
+        "_sets", "_dirty", "_lru", "_rand", "_rng",
         "hits", "misses", "replacements", "writebacks", "invalidations",
         "victim",
     )
 
     def __init__(self, spec: CacheSpec, seed: int = 1):
-        spec.validate().check_size()
+        spec.validate()
         self.name, self.nsets, self.bsize, self.assoc, repl = spec
         # power-of-two geometry makes the block/set/tag split shift/mask work
         self._bshift = spec.bsize.bit_length() - 1
         self._smask = spec.nsets - 1
         self._tshift = spec.nsets.bit_length() - 1
-        self._sets = [[] for _ in range(spec.nsets)]
-        self._filled = []  # the set lists a fill made non-empty since the last flush
+        self._sets = defaultdict(list)
         self._dirty = set()
         self._lru = repl is ReplacementPolicy.LRU
         self._rand = repl is ReplacementPolicy.RANDOM
@@ -129,8 +130,6 @@ class Cache:
             return HIT
         self.misses += 1
         if len(blocks) < self.assoc:
-            if not blocks:
-                self._filled.append(blocks)
             blocks.append(block)
             return MISS_FILL
         self.replacements += 1
@@ -169,10 +168,8 @@ class Cache:
     def flush(self):
         """Write back every dirty line, invalidate every valid line; the
         writebacks and invalidations counters grow by the lines affected.
-        Only the sets filled since the last flush are visited."""
-        self.invalidations += sum(map(len, self._filled))
+        Only the sets touched since the last flush are visited."""
+        self.invalidations += sum(map(len, self._sets.values()))
         self.writebacks += len(self._dirty)
-        for blocks in self._filled:
-            blocks.clear()
-        self._filled.clear()
+        self._sets.clear()
         self._dirty.clear()

@@ -289,12 +289,12 @@ def _cmd_vexsim(args) -> int:
             warnings.showwarning = lambda msg, *_: print(f"warning: {cfg_path} {msg}",
                                                          file=sys.stderr)
             dcache, icache, t = parse_vex_cfg(text)
-        hspec = HierarchySpec(il1=icache, dl1=dcache).validate()  # the geometry limit
     except ConfigError as exc:
         # Name the file: "<path> line N: ..." like the warnings, else "<path>: ...".
         sep = " " if str(exc).startswith("line ") else ": "
         raise ConfigError(f"{cfg_path}{sep}{exc}") from None
-    return _simulate(Hierarchy(hspec), t, opts, trace_path, simcache=False)
+    return _simulate(Hierarchy(HierarchySpec(il1=icache, dl1=dcache)), t, opts, trace_path,
+                     simcache=False)
 
 
 def _cmd_sweep(args) -> int:

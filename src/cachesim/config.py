@@ -38,11 +38,6 @@ class ConfigError(ValueError):
     problem, and the line where one applies."""
 
 
-# Largest nsets x assoc a simulated cache may have; Cache builds its sets
-# eagerly.  A spec alone may describe more.
-MAX_CACHE_LINES = 1 << 20
-
-
 def is_pow2(n):
     """True for 1, 2, 4, 8, ... only."""
     return n >= 1 and (n & (n - 1)) == 0
@@ -78,13 +73,6 @@ class CacheSpec(namedtuple("CacheSpec", "name nsets bsize assoc repl")):
             raise ConfigError(f"invalid cache name {self.name!r}")
         for fname in ("nsets", "bsize", "assoc"):
             _check_pow2(fname, getattr(self, fname))
-        return self
-
-    def check_size(self):
-        """Reject a geometry too large to simulate, before Cache allocates it."""
-        if self.nsets * self.assoc > MAX_CACHE_LINES:
-            raise ConfigError(f"cache {self.name!r} has {self.nsets} sets x {self.assoc} ways, "
-                              f"over the limit of {MAX_CACHE_LINES} lines")
         return self
 
     def render(self):
@@ -152,7 +140,7 @@ class HierarchySpec(namedtuple("HierarchySpec", (*_LEVELS, "flush_on_syscall"),
         names = set()
         for b in self:  # the levels, then flush_on_syscall
             if isinstance(b, CacheSpec):
-                b.validate().check_size()
+                b.validate()
                 if b.name in names:
                     raise ConfigError(f"two distinct caches share the name {b.name!r}")
                 names.add(b.name)

@@ -56,6 +56,9 @@ class DistanceHistogram(namedtuple("DistanceHistogram", "nsets bsize counts cold
     __slots__ = ()
 
     def __new__(cls, nsets, bsize, counts=None, cold=0):  # each gets its own dict
+        for name, value in (("nsets", nsets), ("bsize", bsize)):
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         return super().__new__(cls, nsets, bsize, {} if counts is None else counts, cold)
 
     @property
@@ -206,6 +209,6 @@ def belady_misses(records, nsets, bsize, assoc) -> int:
     cut at ``assoc``, after a backward pass that finds each next use."""
     if assoc < 1:
         raise ValueError(f"assoc must be >= 1, got {assoc}")
+    hist = DistanceHistogram(nsets, bsize)  # checks the geometry before the trace is read
     stream = array("Q", block_refs(records, bsize))
-    return _stack_pass(stream, DistanceHistogram(nsets, bsize), defaultdict(list), assoc,
-                       _next_uses(stream)).cold
+    return _stack_pass(stream, hist, defaultdict(list), assoc, _next_uses(stream)).cold

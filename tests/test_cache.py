@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -182,7 +183,18 @@ def test_repeated_fill_flush_cycles_match_the_reference(policy):
                 assert (c.hits, c.misses, c.replacements, c.writebacks, c.invalidations) \
                     == (ref.hits, ref.misses, ref.replacements, ref.writebacks,
                         ref.invalidations)
-                assert all(blocks == [] for blocks in c._sets) and not c._dirty
+                assert not c._sets and not c._dirty
+
+
+def test_a_cache_allocates_no_set_before_a_trace_touches_it():
+    tracemalloc.start()
+    try:
+        c = Cache(CacheSpec("c", 1 << 40, 32, 1, ReplacementPolicy.LRU))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
+    assert not c.access(0).hit and c.access(0).hit and len(c._sets) == 1
 
 
 def test_rates_match_published_values():

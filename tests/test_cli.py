@@ -212,8 +212,6 @@ def test_vexsim_bad_cfg_exits_2(capsys, tmp_path, trace_file):
     ("MissPenalty     36\n", "", "{p}: required key 'MissPenalty' missing"),
     ("MissPenalty     36", "MissPenalty many",
      "{p} line 6: value for 'MissPenalty' must be an integer, got 'many'"),
-    ("lg2CacheSize    16", "lg2CacheSize    40",
-     "{p}: cache 'dcache' has 8589934592 sets x 4 ways, over the limit of 1048576 lines"),
     ("lg2CacheSize    16", "lg2CacheSize    5",
      "{p} line 3: lg2CacheSize: cache of 32 bytes cannot hold 4 ways of 32-byte lines"),
     ("CoreCkFreq      1000", "CoreCkFreq 0",
@@ -224,6 +222,12 @@ def test_vexsim_cfg_errors_name_the_file(capsys, tmp_path, trace_file, old, new,
     p = tmp_path / "vex.cfg"
     p.write_text(VEX_CFG.replace(old, new))
     assert run_cli(capsys, "vexsim", str(p), trace_file) == (2, "", f"error: {message.format(p=p)}\n")
+
+
+def test_vexsim_simulates_a_cache_of_any_size(capsys, tmp_path, trace_file):
+    p = tmp_path / "vex.cfg"
+    p.write_text(VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    40"))
+    assert run_cli(capsys, "vexsim", str(p), trace_file)[0] == 0
 
 
 def test_vexsim_usage(capsys, cfg_file):

@@ -13,7 +13,6 @@ from cachesim import (
     parse_hierarchy_args,
     parse_vex_cfg,
 )
-from cachesim.config import MAX_CACHE_LINES
 
 
 def raises(message):
@@ -303,22 +302,6 @@ def test_vex_geometry_underflow():
     with raises("line 3: lg2CacheSize: cache of 32 bytes cannot hold "
                 "4 ways of 32-byte lines"):
         parse_vex_cfg(broken)
-
-
-def test_geometry_over_line_limit_rejected():
-    lru = ReplacementPolicy.LRU
-    assert CacheSpec("c", MAX_CACHE_LINES // 4, 32, 4, lru).check_size()
-    for nsets, assoc in ((MAX_CACHE_LINES * 2, 1), (MAX_CACHE_LINES // 2, 4), (1 << 40, 1)):
-        spec = CacheSpec("c", nsets, 32, assoc, lru).validate()  # a spec may describe it
-        with pytest.raises(ConfigError, match=f"limit of {MAX_CACHE_LINES} lines"):
-            spec.check_size()
-        with pytest.raises(ConfigError, match="limit"):
-            HierarchySpec(dl1=spec).validate()
-    with pytest.raises(ConfigError, match="limit"):
-        parse_hierarchy_args(["-cache:dl1", "dl1:2097152:32:1:l"])
-    dcache, _, _ = parse_vex_cfg(VEX_CFG.replace("lg2CacheSize    16", "lg2CacheSize    40"))
-    with pytest.raises(ConfigError, match="limit"):
-        HierarchySpec(dl1=dcache).validate()
 
 
 def test_vex_optional_defaults():

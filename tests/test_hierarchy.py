@@ -1,6 +1,7 @@
 import io
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from cachesim import (
     TraceSyntaxError,
     account,
     branch,
+    gen_random,
     inst,
     load,
     parse_cache_spec,
@@ -25,7 +27,7 @@ from cachesim import (
 )
 from cachesim.config import DEFAULT_HIERARCHY_ARGS
 from cachesim.trace import decode_binary
-from reference import RefCache, RefHierarchy, cache_seed, ref_cycles
+from reference import RefCache, RefHierarchy, cache_seed, data_blocks, ref_cycles
 
 
 def build(args=(), seed=1):
@@ -166,10 +168,24 @@ def test_syscall_flush_invalidates_everything():
     h.step(inst(0x400000))
     h.step(syscall())
     for c in h.caches.values():
-        assert all(blocks == [] for blocks in c._sets)
+        assert not c._sets
         assert c._dirty == set()
     assert h.caches["dl1"].invalidations == 1
     assert h.caches["dl1"].writebacks == 1
+
+
+def test_a_cache_of_2_to_the_40_sets_holds_only_the_sets_it_touches():
+    rows = gen_random(5, 0, 1 << 22, 20_000)
+    tracemalloc.start()
+    try:
+        h = mini(dl1="dl1:1099511627776:32:1:l")
+        h.run(rows, clock=lambda: 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2**40 sets never conflict over 4 MiB: only first touches miss.
+    assert h.caches["dl1"].misses == len(set(data_blocks(rows, 32)))
+    assert peak < 8 << 20, peak
 
 
 def test_flush_between_all_records_kills_reuse():

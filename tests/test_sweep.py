@@ -181,6 +181,23 @@ def test_belady_refuses_an_associativity_below_1(assoc):
         belady_misses(refs([0, 1, 0]), 16, 32, assoc)
 
 
+@pytest.mark.parametrize("nsets, bsize, message", [
+    (0, 32, "nsets must be an integer >= 1, got 0"),
+    (16, 0, "bsize must be an integer >= 1, got 0"),
+    (16, 1.5, r"bsize must be an integer >= 1, got 1\.5"),
+])
+def test_a_pass_refuses_a_geometry_that_is_not_an_integer_of_at_least_1(nsets, bsize, message):
+    records = refs([0, 1, 0])
+    with pytest.raises(ValueError, match=message):
+        sweep(records, [(nsets, bsize)], [1, 2])
+    with pytest.raises(ValueError, match=message):
+        stack_distances(records, nsets, bsize)
+    rows = iter(records)
+    with pytest.raises(ValueError, match=message):
+        belady_misses(rows, nsets, bsize, 1)
+    assert next(rows) == records[0]  # refused before the trace is read
+
+
 def test_belady_no_reuse_cannot_help():
     records = refs(list(range(50)))
     assert belady_misses(records, 1, 32, 4) == 50

@@ -83,6 +83,8 @@ def test_parse_errors_carry_line_numbers():
         list(parse_trace(["L 1ffffffffffffffff 4"]))  # past 2^64-1
     with pytest.raises(TraceSyntaxError, match="bad hex address 'zz'"):
         list(parse_trace(["I zz 0"]))  # each token's syntax is checked before any range
+    with pytest.raises(TraceSyntaxError, match="^trace line 1: Y takes no arguments$"):
+        list(parse_trace(["Y 5"]))
 
 
 def _packed(rows):
