@@ -36,12 +36,20 @@ a test fails, names a token that is not a number or passes the values to
 a ``.ct`` file in chunks of whole lines (``_TEXT_CHUNK`` bytes and the
 rest of the last line), decodes each chunk's UTF-8 once and splits it on
 ``"\\n"``, the only line end, so its memory is one chunk, not the file.  A
+chunk with no ``#`` goes to ``_plain_rows``, which makes ``decode_text``'s
+inline tests line by line and returns the chunk's rows as one list,
+passed on with no Python frame per row.  A chunk with a comment, or one
+with a line that fails a test, goes whole to ``decode_text``, which
+yields the rows before the fault and raises its error.  A line holds at
+most ``_LINE_LIMIT`` bytes (128 KiB) before its ``"\\n"``, so a chunk holds
+no more than that of its last line: a longer line is refused by its line
+number, after the rows of the lines before it, and is never decoded.  A
 byte that is not UTF-8 is named by its line: the lines before it yield
 their rows, then a TraceSyntaxError gives its line number and the
 decoder's reason.  ``decode_binary`` reads a ``.ctb`` file in chunks of
 ``_CHUNK`` bytes and passes on runs of plain records, those whose row is
 the tuple ``struct.iter_unpack`` gives them, with no Python frame per
-record: one match of the compiled ``_PLAIN_RECORDS`` pattern finds a run
+record: one match of the ``_PLAIN_RECORDS`` pattern finds a run
 (of at most ``_RUN`` bytes, as the match's memory grows with its run),
 and ``iter_unpack`` over it yields the rows.  Every other record (a
 region marker, a record in error, or an L or S record whose address's
@@ -56,7 +64,6 @@ open from the first row asked for to the last, or until dropped.
 """
 
 import io
-import re
 import struct
 from itertools import chain
 
@@ -286,6 +293,7 @@ _REC = struct.Struct("<BQH")
 _CHUNK = _REC.size * 8192  # bytes per .ctb read, about 88 KiB
 _RUN = _REC.size * 256  # bytes per _PLAIN_RECORDS match, whose stack grows with its run
 _TEXT_CHUNK = 4096  # bytes per .ct read, before the rest of its last line
+_LINE_LIMIT = 131072  # bytes of a .ct line before its "\n", about twice the longest record line
 
 
 def write_trace_binary(records):
@@ -309,11 +317,12 @@ def write_trace_binary(records):
 # them.  I: op count >= 1.  L/S: size >= 1 and an address whose top byte is
 # not 0xFF, so the access cannot run past the address space.  B: address 0
 # and flag 0 or 1.  Y: every field 0.  Flat alternatives match faster than
-# nested groups.
-_PLAIN_RECORDS = re.compile(
+# nested groups.  Compiled (with re.S) at the first .ctb read, so that reading
+# a .ct loads no ``re``; ``re``'s cache serves every later read.
+_PLAIN_RECORDS = (
     rb"(?:\x00.{8}[^\x00].|\x00.{9}[^\x00]"
     rb"|[\x01\x02].{7}[^\xff][^\x00].|[\x01\x02].{7}[^\xff]\x00[^\x00]"
-    rb"|\x03\x00{8}[\x00\x01]\x00|\x04\x00{10})*", re.S)
+    rb"|\x03\x00{8}[\x00\x01]\x00|\x04\x00{10})*")
 
 
 def decode_binary(fh):
@@ -326,6 +335,9 @@ def _binary_stretches(fh):
     """Iterables of rows, in order, from a binary file object: one
     ``iter_unpack`` per run of plain records, and a one-row tuple for each
     record between runs, which ``_check_row`` checks."""
+    import re
+
+    plain_run = re.compile(_PLAIN_RECORDS, re.S).match
     rec = _REC.size
     n = 0  # records decoded
     buf = b""  # bytes not yet decoded: a partial record or region name
@@ -334,7 +346,7 @@ def _binary_stretches(fh):
         off = 0
         while len(buf) - off >= rec:  # a whole fixed part left
             stop = off + _RUN
-            end = _PLAIN_RECORDS.match(buf, off, stop).end()
+            end = plain_run(buf, off, stop).end()
             if end > off:
                 yield _REC.iter_unpack(memoryview(buf)[off:end])
                 n += (end - off) // rec
@@ -370,26 +382,86 @@ def parse_trace_binary(data):
     return map(TraceRecord, decode_binary(io.BytesIO(data)))
 
 
+def _text_stretches(fh):
+    """Iterables of rows, in order, from a .ct file object, one per chunk of
+    whole lines: the list ``_plain_rows`` makes of a chunk with no ``#``,
+    else ``decode_text`` over the chunk."""
+    line_no = 1  # of the chunk's first line
+    while data := fh.read(_TEXT_CHUNK) + fh.readline(_LINE_LIMIT + 1):  # whole lines
+        long_line = 0  # the number of a line over _LINE_LIMIT; the lines before it are kept
+        if len(data) > _LINE_LIMIT:
+            pieces = data.split(b"\n")
+            for n, piece in enumerate(pieces):
+                if len(piece) > _LINE_LIMIT:
+                    long_line, data = line_no + n, b"\n".join(pieces[:n] + [b""])
+                    break
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # the lines before the bad byte, then its error
+            lines = data[:exc.start].decode("utf-8").split("\n")
+            yield decode_text(lines[:-1], line_no)
+            raise TraceSyntaxError(line_no + len(lines) - 1,
+                                   f"not valid UTF-8: {exc.reason}") from None
+        lines = text.split("\n")
+        rows = None if "#" in text else _plain_rows(lines)
+        yield decode_text(lines, line_no) if rows is None else rows
+        if long_line:
+            raise TraceSyntaxError(long_line, f"line is over the limit of {_LINE_LIMIT} bytes")
+        line_no += len(lines) - 1
+
+
+def _plain_rows(lines):
+    """The rows of comment-free text lines, by the tests ``decode_text``
+    makes inline, or None at the first line that fails one of them."""
+    rows = []
+    append = rows.append
+    try:  # int() of a token that is not a number, or region() of a bad name
+        for line in lines:
+            toks = line.split()
+            n = len(toks)
+            if n == 3:
+                kind, addr, arg = toks
+                addr = int(addr, 16)
+                arg = int(arg)
+                if kind == "I":
+                    if not 0 < arg <= 0xFFFF or not 0 <= addr <= MAX_ADDR:
+                        return None
+                    append((0, addr, arg))
+                elif kind == "L" or kind == "S":
+                    if addr < 0 or not 0 < arg <= 0xFFFF or addr + arg > _ADDR_END:
+                        return None
+                    append((1 if kind == "L" else 2, addr, arg))
+                else:
+                    return None
+            elif n == 2:
+                kind, arg = toks
+                if kind == "I":
+                    addr = int(arg, 16)
+                    if not 0 <= addr <= MAX_ADDR:
+                        return None
+                    append((0, addr, 1))
+                elif kind == "B" and (arg == "T" or arg == "N"):
+                    append(_TAKEN if arg == "T" else _NOT_TAKEN)
+                elif kind == "R":
+                    append(region(arg))
+                else:
+                    return None
+            elif n == 1 and toks[0] == "Y":
+                append(_SYSCALL)
+            elif n:
+                return None
+    except ValueError:
+        return None
+    return rows
+
+
 def read_rows(path):
     """The rows of a .ct or .ctb trace file, passed on by ``chain`` with no
     Python frame per row.  The file opens at the first row (a missing file
     raises there) and closes after the last, or when the iterator is dropped."""
     def opened():
         with open(path, "rb") as fh:
-            if str(path).endswith(".ctb"):
-                yield from _binary_stretches(fh)
-                return
-            line_no = 1  # of the chunk's first line
-            while data := fh.read(_TEXT_CHUNK) + fh.readline():  # whole lines
-                try:
-                    lines = data.decode("utf-8").split("\n")
-                except UnicodeDecodeError as exc:  # the lines before the bad byte, then its error
-                    lines = data[:exc.start].decode("utf-8").split("\n")
-                    yield decode_text(lines[:-1], line_no)
-                    raise TraceSyntaxError(line_no + len(lines) - 1,
-                                           f"not valid UTF-8: {exc.reason}") from None
-                yield decode_text(lines, line_no)
-                line_no += len(lines) - 1
+            yield from (_binary_stretches if str(path).endswith(".ctb") else _text_stretches)(fh)
     return chain.from_iterable(opened())
 
 

@@ -541,9 +541,17 @@ def read_trace_path(path):
     return _lines()
 
 
+# The most bytes a .ct line may hold before its "\n": 2**17, about twice the
+# longest record line ("R", a space and a 65,535-byte name).
+LINE_LIMIT = 2**17
+
+
 def _utf8_lines(raw_lines):
-    """Decode byte lines one at a time, so a bad byte is named by its line."""
+    """Decode byte lines one at a time, so a bad byte is named by its line;
+    a line over LINE_LIMIT bytes is refused whole, before it is decoded."""
     for line_no, raw in enumerate(raw_lines, 1):
+        if len(raw) - raw.endswith(b"\n") > LINE_LIMIT:
+            raise TraceSyntaxError(line_no, f"line is over the limit of {LINE_LIMIT} bytes")
         try:
             yield raw.decode("utf-8")
         except UnicodeDecodeError as exc:

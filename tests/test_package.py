@@ -170,6 +170,18 @@ def test_text_simulation_loads_no_stack_module_or_exporter(tmp_path, argv):
     assert loaded.isdisjoint({"cachesim.stack", "cachesim.sweep", "decimal"} | EXPORT_MODULES)
 
 
+def test_sim_on_a_text_trace_loads_no_re(tmp_path):
+    # The .ctb reader compiles its pattern at its first read.  Run without
+    # site, which may load re itself.
+    (tmp_path / "t.ct").write_text("R main\nI 400000  # a comment\nL 1000 4\n")
+    code = ("import sys; from cachesim.cli import main; "
+            "assert main(['sim', '--clock', '1', '--out', 'out.txt', 't.ct']) == 0; "
+            "assert 're' not in sys.modules, 're is loaded'")
+    subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=_env(), check=True,
+                   timeout=60)
+    assert "sim_num_insn      1 " in (tmp_path / "out.txt").read_text()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sim_exports_a_report_without_the_timing_layer(tmp_path, fmt):
     (tmp_path / "t.ct").write_text("R main\nI 400000\nL 1000 4\n")

@@ -161,6 +161,85 @@ def test_reading_a_text_trace_holds_one_small_chunk(tmp_path):
     assert peak < 256 * 1024, peak
 
 
+def test_a_line_over_the_limit_is_refused_from_one_chunk(tmp_path, capsys):
+    # 8 MB on one line: the reader holds one chunk and the limit's worth of
+    # the line, never the line, and refuses it at line 1.
+    assert trace._LINE_LIMIT == reference.LINE_LIMIT == 131072
+    p = tmp_path / "t.ct"
+    p.write_bytes(b"I 0 " * 2_000_000)
+    message = "trace line 1: line is over the limit of 131072 bytes"
+    tracemalloc.start()
+    try:
+        outcome = _outcome(read_rows(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == ([], (message, 1))
+    assert peak < 1024 * 1024, peak
+    assert main(["sim", "--clock", "1", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text_chunk", [1, 5, 4096])
+@pytest.mark.parametrize("tail", [b"\nB T\n", b""], ids=["line-after", "file-end"])
+def test_a_line_of_the_limit_reads_and_one_byte_more_does_not(tmp_path, monkeypatch, text_chunk,
+                                                                tail):
+    # A line of _LINE_LIMIT bytes before its "\n" (or the file's end) reads.
+    # One byte more is refused by its line number, after the rows of the
+    # lines before it, and a bad byte past the limit is never decoded.
+    monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
+    p = tmp_path / "t.ct"
+    line = b"I 0".ljust(trace._LINE_LIMIT, b" ")
+    p.write_bytes(b"Y\n" + line + tail)
+    want = _fields([(4, 0, 0), (0, 0, 1)] + [(3, 0, 1)] * bool(tail))
+    assert _outcome(read_rows(p)) == _outcome(reference.read_trace_path(p)) == (want, None)
+    p.write_bytes(b"Y\n" + line + b"\xff" + tail)
+    want = _fields([(4, 0, 0)]), ("trace line 2: line is over the limit of 131072 bytes", 2)
+    assert _outcome(read_rows(p)) == _outcome(reference.read_trace_path(p)) == want
+
+
+@pytest.mark.parametrize("text_chunk", [1, 7, 33, 4096])
+def test_plain_lines_never_take_the_per_line_path(tmp_path, monkeypatch, text_chunk):
+    # Every spelling of every kind without a comment: tabs and runs of
+    # spaces, both hex cases, 0x, leading zeros, \r\n, blank and space-only
+    # lines, B, Y, and R with TOTAL and a non-ASCII name.
+    text = ("R main\nI 400000\n\tI\t40000A  3 \r\n  L 0x7fff0 4\nS 0007FFF8\t\t8\r\n\n   \n \t\r\n"
+            "I 0X0 01\nB T\nB  N\r\nY\n  Y  \nR TOTAL\nR caf\u00e9\r\nI ffffffffffffffff 65535\n"
+            "L FFFFFFFFFFFFFFFF 1\nS 0 00065535\nR main")
+    rows = [region("main"), inst(0x400000), inst(0x40000A, 3), load(0x7FFF0, 4),
+            store(0x7FFF8, 8), inst(0), branch(True), branch(False), syscall(), syscall(),
+            region("TOTAL"), region("caf\u00e9"), inst(MAX_ADDR, 0xFFFF), load(MAX_ADDR, 1),
+            store(0, 0xFFFF), region("main")]
+    (tmp_path / "t.ct").write_bytes(text.encode())
+
+    def per_line(lines, start=1):
+        raise AssertionError(f"a chunk from line {start} left the chunk path")
+
+    monkeypatch.setattr(trace, "decode_text", per_line)
+    monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
+    assert _fields(read_rows(tmp_path / "t.ct")) == _fields(rows)
+
+
+# Lines at the edge of each test the chunk path makes, valid or not.
+_EDGE_LINES = ["I 0 0", "I 0 65536", "I ffffffffffffffff 65535", "I 10000000000000000", "I -1",
+               "I 0 1 2", "I", "I zz", "I 0 zz", "L ffffffffffffffff 1", "L ffffffffffffffff 2",
+               "S fffffffffffffff0 16", "S fffffffffffffff0 17", "L 0 0", "S 0 65536", "L -1 4",
+               "L 0 -1", "L 0", "S 0 4 4", "L 10000000000000000 1", "S zz 4", "B X", "B", "B T N",
+               "Y 5", "YY", "R", "R a b", "R " + "n" * 0xFFFF, "R " + "n" * 0x10000, "Q 1 2", "Q 1",
+               "Q", "T 0 1"]
+
+
+@pytest.mark.parametrize("text_chunk", [1, 4096])
+@pytest.mark.parametrize("line", _EDGE_LINES, ids=lambda line: line[:24])
+def test_the_chunk_path_keeps_every_rule_of_the_per_line_path(tmp_path, monkeypatch, line,
+                                                              text_chunk):
+    monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
+    p = tmp_path / "t.ct"
+    p.write_text(f"I 400000\n{line}\nY\n")
+    want = _outcome(decode_text(["I 400000", line, "Y"]))
+    assert _outcome(read_rows(p)) == _outcome(reference.read_trace_path(p)) == want
+
+
 def test_reading_a_binary_trace_holds_one_chunk(tmp_path):
     # 3.3 MB of records; markers split the runs of plain records.
     p = tmp_path / "t.ctb"
@@ -689,13 +768,28 @@ def test_decoders_match_oracles_on_valid_traces(scratch_dir, records, data, chun
 @given(records=_records(valid=False), data=st.data(), chunk=_READ_SIZES, text_chunk=_READ_SIZES)
 def test_decoders_match_oracles_on_mutated_files(scratch_dir, records, data, chunk, text_chunk):
     text = "".join(data.draw(_text_lines(records, bad=True))).encode()
+    # Limits of 1 to 80 bytes, so that the drawn lines run over them too.
+    line_limit = data.draw(st.one_of(st.just(trace._LINE_LIMIT), st.integers(1, 80)))
     for path, blob, pieces in ((scratch_dir / "t.ct", text, _TEXT_PIECES),
                                (scratch_dir / "t.ctb", _packed(records), None)):
-        path.write_bytes(data.draw(_mutated(blob, pieces)))
+        mutated = data.draw(_mutated(blob, pieces))
+        path.write_bytes(mutated)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trace, "_CHUNK", chunk)
             mp.setattr(trace, "_TEXT_CHUNK", text_chunk)
+            mp.setattr(trace, "_LINE_LIMIT", line_limit)
+            mp.setattr(reference, "LINE_LIMIT", line_limit)
             assert _outcome(read_rows(path)) == _outcome(reference.read_trace_path(path))
+        if pieces and (lines := _utf8_lines(mutated)) is not None:  # the per-line decoder
+            assert _outcome(decode_text(iter(lines))) == _outcome(reference.parse_trace(lines))
+
+
+def _utf8_lines(blob):
+    """The text lines of ``blob``, or None if it is not UTF-8."""
+    try:
+        return blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
 
 
 # .ctb records drawn field by field, valid or not: kind codes past R, B and Y
