@@ -29,23 +29,24 @@ most the 2-byte ``.ctb`` field holds, so both formats hold the same
 records.  Both writers check each row by those rules, so what they write
 reads back.
 
-Each format has one decoder that yields rows.  ``decode_text`` takes
-text lines one at a time; it tests the fields of a line inline and, when
-a test fails, names a token that is not a number or passes the values to
-``inst`` or ``load``, whose message names the fault.  ``read_rows`` reads
-a ``.ct`` file in chunks of whole lines (``_TEXT_CHUNK`` bytes and the
-rest of the last line), decodes each chunk's UTF-8 once and splits it on
-``"\\n"``, the only line end, so its memory is one chunk, not the file.  A
-chunk with no ``#`` goes to ``_plain_rows``, which makes ``decode_text``'s
-inline tests line by line and returns the chunk's rows as one list,
-passed on with no Python frame per row.  A chunk with a comment, or one
-with a line that fails a test, goes whole to ``decode_text``, which
-yields the rows before the fault and raises its error.  A line holds at
-most ``_LINE_LIMIT`` bytes (128 KiB) before its ``"\\n"``, so a chunk holds
-no more than that of its last line: a longer line is refused by its line
-number, after the rows of the lines before it, and is never decoded.  A
-byte that is not UTF-8 is named by its line: the lines before it yield
-their rows, then a TraceSyntaxError gives its line number and the
+Each format has one decoder that yields rows.  A text line is tested in
+one place: ``_plain_rows`` tests the fields of comment-free lines inline
+and returns the rows of the lines before the first that fails a test, as
+one list, and that line, which ``_line_error`` turns into its error: a
+token that is not a number by its name, else the fault that ``region``,
+``inst`` or ``load`` names, else the kind's usage.  ``decode_text`` takes
+text lines from any iterable, ``_TEXT_BATCH`` at a time, and cuts each
+line's comment.  ``read_rows`` reads a ``.ct`` file in chunks of whole
+lines (``_TEXT_CHUNK`` bytes and the rest of the last line), decodes each
+chunk's UTF-8 once, splits it on ``"\\n"``, the only line end, and cuts
+comments only in a chunk that holds ``#``, so its memory is one chunk, not
+the file, and a chunk's rows pass on with no Python frame per row.  Both
+yield the rows of the lines before a fault, then raise its error.  A line
+holds at most ``_LINE_LIMIT`` bytes (128 KiB) before its ``"\\n"``, so a
+chunk holds no more than that of its last line: a longer line is refused
+by its line number, after the rows of the lines before it, and is never
+decoded.  A byte that is not UTF-8 is named by its line: the lines before
+it yield their rows, then a TraceSyntaxError gives its line number and the
 decoder's reason.  ``decode_binary`` reads a ``.ctb`` file in chunks of
 ``_CHUNK`` bytes and passes on runs of plain records, those whose row is
 the tuple ``struct.iter_unpack`` gives them, with no Python frame per
@@ -65,7 +66,7 @@ open from the first row asked for to the last, or until dropped.
 
 import io
 import struct
-from itertools import chain
+from itertools import chain, islice
 
 MAX_ADDR = 2**64 - 1
 TOTAL_REGION = "TOTAL"  # the region of the whole run; ``R TOTAL`` ends a named one
@@ -185,61 +186,38 @@ def _checked(n, make, *args):
 
 
 def decode_text(lines, start=1):
-    """Yield rows from an iterable of text lines, numbered from ``start``.
+    """Yield rows from an iterable of text lines, numbered from ``start``,
+    read ``_TEXT_BATCH`` lines at a time.
 
     Raises TraceSyntaxError carrying the 1-based line number on any
     malformed record.
     """
-    for line_no, raw in enumerate(lines, start):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not toks:
-            continue
-        kind = toks[0]
-        try:  # fields are tested inline; one that fails goes to _field_error
-            if kind == "I":
-                if len(toks) not in (2, 3):
-                    raise TraceSyntaxError(line_no, "I takes an address and optional op count")
-                ops = int(toks[2]) if len(toks) == 3 else 1
-                addr = int(toks[1], 16)
-                if not 0 < ops <= 0xFFFF or not 0 <= addr <= MAX_ADDR:
-                    raise ValueError
-                yield (0, addr, ops)
-            elif kind == "L" or kind == "S":
-                if len(toks) != 3:
-                    raise TraceSyntaxError(line_no, f"{kind} takes an address and a size")
-                addr = int(toks[1], 16)
-                size = int(toks[2])
-                if addr < 0 or not 0 < size <= 0xFFFF or addr + size > _ADDR_END:
-                    raise ValueError
-                yield (1 if kind == "L" else 2, addr, size)
-            elif kind == "B":
-                if len(toks) != 2 or toks[1] not in ("T", "N"):
-                    raise TraceSyntaxError(line_no, "B takes T or N")
-                yield _TAKEN if toks[1] == "T" else _NOT_TAKEN
-            elif kind == "Y":
-                if len(toks) != 1:
-                    raise TraceSyntaxError(line_no, "Y takes no arguments")
-                yield _SYSCALL
-            elif kind == "R":
-                if len(toks) != 2:
-                    raise TraceSyntaxError(line_no, "R takes a region name")
-                yield _checked(line_no, region, toks[1])
-            else:
-                raise TraceSyntaxError(line_no, f"unknown record kind {kind!r}")
-        except TraceSyntaxError:
-            raise
-        except ValueError:
-            _field_error(toks, line_no)
+    lines = iter(lines)
+    while batch := list(islice(lines, _TEXT_BATCH)):
+        for rows in _stretch(batch, start):
+            yield from rows
+        start += len(batch)
 
 
-def _field_error(toks, line_no):
-    """Raise the error of an I, L or S line whose fields failed the inline
-    tests: a token that is not a number by its name, else the fault that
-    ``inst`` or ``load`` names."""
-    args = [_number(toks[1], 16, line_no, "hex address")]
-    if len(toks) == 3:
-        args.append(_number(toks[2], 10, line_no, "op count" if toks[0] == "I" else "size"))
-    _checked(line_no, inst if toks[0] == "I" else load, *args)
+_USAGE = {"I": "I takes an address and optional op count", "L": "L takes an address and a size",
+          "S": "S takes an address and a size", "B": "B takes T or N",
+          "Y": "Y takes no arguments", "R": "R takes a region name"}
+
+
+def _line_error(line, line_no):
+    """Raise the TraceSyntaxError of a line that ``_plain_rows`` refuses:
+    a token that is not a number by its name, else the fault that
+    ``region``, ``inst`` or ``load`` names, else the kind's usage."""
+    toks = line.split()
+    kind, n = toks[0], len(toks)
+    if kind == "I" and n in (2, 3) or (kind == "L" or kind == "S") and n == 3:
+        args = [_number(toks[1], 16, line_no, "hex address")]
+        if n == 3:
+            args.append(_number(toks[2], 10, line_no, "op count" if kind == "I" else "size"))
+        _checked(line_no, inst if kind == "I" else load, *args)
+    elif kind == "R" and n == 2:
+        _checked(line_no, region, toks[1])
+    raise TraceSyntaxError(line_no, _USAGE.get(kind, f"unknown record kind {kind!r}"))
 
 
 def _number(tok, base, line_no, what):
@@ -293,6 +271,7 @@ _REC = struct.Struct("<BQH")
 _CHUNK = _REC.size * 8192  # bytes per .ctb read, about 88 KiB
 _RUN = _REC.size * 256  # bytes per _PLAIN_RECORDS match, whose stack grows with its run
 _TEXT_CHUNK = 4096  # bytes per .ct read, before the rest of its last line
+_TEXT_BATCH = 1024  # lines per decode_text read
 _LINE_LIMIT = 131072  # bytes of a .ct line before its "\n", about twice the longest record line
 
 
@@ -383,9 +362,8 @@ def parse_trace_binary(data):
 
 
 def _text_stretches(fh):
-    """Iterables of rows, in order, from a .ct file object, one per chunk of
-    whole lines: the list ``_plain_rows`` makes of a chunk with no ``#``,
-    else ``decode_text`` over the chunk."""
+    """Iterables of rows, in order, from a .ct file object: the list of
+    each chunk of whole lines, by ``_stretch``."""
     line_no = 1  # of the chunk's first line
     while data := fh.read(_TEXT_CHUNK) + fh.readline(_LINE_LIMIT + 1):  # whole lines
         long_line = 0  # the number of a line over _LINE_LIMIT; the lines before it are kept
@@ -399,20 +377,31 @@ def _text_stretches(fh):
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:  # the lines before the bad byte, then its error
             lines = data[:exc.start].decode("utf-8").split("\n")
-            yield decode_text(lines[:-1], line_no)
+            yield from _stretch(lines[:-1], line_no)
             raise TraceSyntaxError(line_no + len(lines) - 1,
                                    f"not valid UTF-8: {exc.reason}") from None
         lines = text.split("\n")
-        rows = None if "#" in text else _plain_rows(lines)
-        yield decode_text(lines, line_no) if rows is None else rows
+        yield from _stretch(lines, line_no, "#" in text)
         if long_line:
             raise TraceSyntaxError(long_line, f"line is over the limit of {_LINE_LIMIT} bytes")
         line_no += len(lines) - 1
 
 
+def _stretch(lines, line_no, comments=True):
+    """Yield the rows of text lines numbered from ``line_no`` as one list,
+    each line's comment cut first if ``comments``; then raise the error of
+    the line ``_plain_rows`` refused, if it refused one."""
+    if comments:
+        lines = [line.split("#", 1)[0] if "#" in line else line for line in lines]
+    rows, bad = _plain_rows(lines)
+    yield rows
+    if bad is not None:  # a line of the same text before it would have been refused first
+        _line_error(bad, line_no + lines.index(bad))
+
+
 def _plain_rows(lines):
-    """The rows of comment-free text lines, by the tests ``decode_text``
-    makes inline, or None at the first line that fails one of them."""
+    """The rows of comment-free text lines before the first line that fails
+    an inline test, and that line, or None if none fails."""
     rows = []
     append = rows.append
     try:  # int() of a token that is not a number, or region() of a bad name
@@ -425,34 +414,34 @@ def _plain_rows(lines):
                 arg = int(arg)
                 if kind == "I":
                     if not 0 < arg <= 0xFFFF or not 0 <= addr <= MAX_ADDR:
-                        return None
+                        return rows, line
                     append((0, addr, arg))
                 elif kind == "L" or kind == "S":
                     if addr < 0 or not 0 < arg <= 0xFFFF or addr + arg > _ADDR_END:
-                        return None
+                        return rows, line
                     append((1 if kind == "L" else 2, addr, arg))
                 else:
-                    return None
+                    return rows, line
             elif n == 2:
                 kind, arg = toks
                 if kind == "I":
                     addr = int(arg, 16)
                     if not 0 <= addr <= MAX_ADDR:
-                        return None
+                        return rows, line
                     append((0, addr, 1))
                 elif kind == "B" and (arg == "T" or arg == "N"):
                     append(_TAKEN if arg == "T" else _NOT_TAKEN)
                 elif kind == "R":
                     append(region(arg))
                 else:
-                    return None
+                    return rows, line
             elif n == 1 and toks[0] == "Y":
                 append(_SYSCALL)
             elif n:
-                return None
+                return rows, line
     except ValueError:
-        return None
-    return rows
+        return rows, line
+    return rows, None
 
 
 def read_rows(path):

@@ -199,12 +199,13 @@ def test_a_line_of_the_limit_reads_and_one_byte_more_does_not(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("text_chunk", [1, 7, 33, 4096])
-def test_plain_lines_never_take_the_per_line_path(tmp_path, monkeypatch, text_chunk):
-    # Every spelling of every kind without a comment: tabs and runs of
-    # spaces, both hex cases, 0x, leading zeros, \r\n, blank and space-only
-    # lines, B, Y, and R with TOTAL and a non-ASCII name.
-    text = ("R main\nI 400000\n\tI\t40000A  3 \r\n  L 0x7fff0 4\nS 0007FFF8\t\t8\r\n\n   \n \t\r\n"
-            "I 0X0 01\nB T\nB  N\r\nY\n  Y  \nR TOTAL\nR caf\u00e9\r\nI ffffffffffffffff 65535\n"
+def test_valid_lines_never_reach_the_line_error(tmp_path, monkeypatch, text_chunk):
+    # Every spelling of every kind: tabs and runs of spaces, both hex cases,
+    # 0x, leading zeros, \r\n, blank, space-only and comment-only lines,
+    # trailing comments, B, Y, and R with TOTAL and a non-ASCII name.
+    text = ("# a trace\nR main  # entry\nI 400000\n\tI\t40000A  3 # three ops\r\n  L 0x7fff0 4\n"
+            "S 0007FFF8\t\t8\r\n\n   \n \t\r\n#\n  # indented\nI 0X0 01#\nB T\nB  N\r\nY\n"
+            "  Y  # call\nR TOTAL\nR caf\u00e9#x\r\nI ffffffffffffffff 65535\n"
             "L FFFFFFFFFFFFFFFF 1\nS 0 00065535\nR main")
     rows = [region("main"), inst(0x400000), inst(0x40000A, 3), load(0x7FFF0, 4),
             store(0x7FFF8, 8), inst(0), branch(True), branch(False), syscall(), syscall(),
@@ -212,32 +213,47 @@ def test_plain_lines_never_take_the_per_line_path(tmp_path, monkeypatch, text_ch
             store(0, 0xFFFF), region("main")]
     (tmp_path / "t.ct").write_bytes(text.encode())
 
-    def per_line(lines, start=1):
-        raise AssertionError(f"a chunk from line {start} left the chunk path")
+    def line_error(line, line_no):
+        raise AssertionError(f"line {line_no} {line!r} was refused")
 
-    monkeypatch.setattr(trace, "decode_text", per_line)
+    monkeypatch.setattr(trace, "_line_error", line_error)
     monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
     assert _fields(read_rows(tmp_path / "t.ct")) == _fields(rows)
+    assert _fields(decode_text(text.split("\n"))) == _fields(rows)
 
 
-# Lines at the edge of each test the chunk path makes, valid or not.
+# Lines at the edge of each inline test, valid or not, some with a comment.
 _EDGE_LINES = ["I 0 0", "I 0 65536", "I ffffffffffffffff 65535", "I 10000000000000000", "I -1",
                "I 0 1 2", "I", "I zz", "I 0 zz", "L ffffffffffffffff 1", "L ffffffffffffffff 2",
                "S fffffffffffffff0 16", "S fffffffffffffff0 17", "L 0 0", "S 0 65536", "L -1 4",
                "L 0 -1", "L 0", "S 0 4 4", "L 10000000000000000 1", "S zz 4", "B X", "B", "B T N",
                "Y 5", "YY", "R", "R a b", "R " + "n" * 0xFFFF, "R " + "n" * 0x10000, "Q 1 2", "Q 1",
-               "Q", "T 0 1"]
+               "Q", "T 0 1", "L 0 0 # c", "R a#b", "B T#", "I#", "# only", "Y 5 # c"]
 
 
 @pytest.mark.parametrize("text_chunk", [1, 4096])
 @pytest.mark.parametrize("line", _EDGE_LINES, ids=lambda line: line[:24])
-def test_the_chunk_path_keeps_every_rule_of_the_per_line_path(tmp_path, monkeypatch, line,
-                                                              text_chunk):
+def test_the_text_readers_agree_on_every_edge_line(tmp_path, monkeypatch, line, text_chunk):
     monkeypatch.setattr(trace, "_TEXT_CHUNK", text_chunk)
     p = tmp_path / "t.ct"
     p.write_text(f"I 400000\n{line}\nY\n")
     want = _outcome(decode_text(["I 400000", line, "Y"]))
     assert _outcome(read_rows(p)) == _outcome(reference.read_trace_path(p)) == want
+
+
+@pytest.mark.parametrize("bad_line", [2 * trace._TEXT_BATCH, 2 * trace._TEXT_BATCH + 1],
+                         ids=["last-of-a-batch", "first-of-the-next"])
+def test_decode_text_numbers_lines_across_its_batches(bad_line):
+    # Over three batches of lines, blank and commented ones among them; a
+    # fault in the third batch or at the end of the second is named by its
+    # line in the whole input, not in its batch.
+    lines = [f"L {n:x} 4  # line {n + 1}" if n % 3 else ""
+             for n in range(3 * trace._TEXT_BATCH + 5)]
+    assert _outcome(decode_text(iter(lines))) == _outcome(reference.parse_trace(lines))
+    lines[bad_line - 1] = "B X"
+    want = _outcome(reference.parse_trace(lines))
+    assert want[1] == (f"trace line {bad_line}: B takes T or N", bad_line)
+    assert _outcome(decode_text(iter(lines))) == want
 
 
 def test_reading_a_binary_trace_holds_one_chunk(tmp_path):
