@@ -90,7 +90,7 @@ def parse_cache_spec(text):
     if len(parts) != 5:
         raise ConfigError(f"expected 5 colon-separated fields in {text!r}, got {len(parts)}")
     for fname, tok in zip(("nsets", "bsize", "assoc"), parts[1:4]):
-        if not tok.isdigit() or str(int(tok)) != tok:
+        if not (tok.isascii() and tok.isdigit()) or str(int(tok)) != tok:
             raise ConfigError(f"{fname} must be a plain decimal integer, got {tok!r}")
     try:
         repl = ReplacementPolicy(parts[4])

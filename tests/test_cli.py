@@ -1,11 +1,25 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cachesim import branch, inst, load, region, store, syscall, write_trace_path
+import cachesim
+from cachesim import (
+    branch,
+    gen_random,
+    inst,
+    load,
+    region,
+    store,
+    syscall,
+    write_trace,
+    write_trace_path,
+)
 from cachesim.cli import _OPTIONS, USAGE, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -433,6 +447,9 @@ def test_gen_usage_errors(capsys):
      "working_set_bytes and iterations must be >= 0"),
     (["gen", "random", "--range", "0", "--count", "4"], "range_bytes must be >= 1"),
     (["gen", "random", "--range", "64", "--count", "-4"], "count must be >= 0"),
+    # a digit that str.isdigit() takes and int() refuses
+    (["sim", "-cache:dl1", "dl1:²:32:1:l", "{trace}"],
+     "nsets must be a plain decimal integer, got '²'"),
 ])
 def test_command_line_errors_exit_1_with_their_message(capsys, trace_file, cfg_file,
                                                        argv, message):
@@ -490,3 +507,69 @@ def test_fuzzed_command_lines_exit_0_1_or_2(capsys, tmp_path, monkeypatch, base,
     argv = [base[0], *(w for group in words for w in group), *base[1:]]
     assert main(argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+# The console script in a fresh interpreter, as the installed ``cachesim``
+# runs it.  PYTHONUNBUFFERED is dropped, so stdout is block-buffered and a
+# small output reaches it only through run_main's flush or the teardown.
+SCRIPT = "from cachesim.cli import run_main; run_main()"
+
+
+def _script(*argv, launcher=(), **kwargs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cachesim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([*launcher, sys.executable, "-c", SCRIPT, *argv], env=env, timeout=60,
+                          **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sim", "--clock", "1", "{trace}"], 0),
+    (["sim", "-tlb:lat", "30", "{trace}"], 1),
+    (["sim", "-cache:dl1", "dl1:²:32:1:l", "{trace}"], 1),
+    (["sim", "{bad}"], 2),
+])
+def test_the_script_ends_as_main_returns(capsys, tmp_path, trace_file, argv, code):
+    bad = tmp_path / "bad.ct"
+    bad.write_text("I 0\nB X\n")
+    argv = [a.format(trace=trace_file, bad=bad) for a in argv]
+    proc = _script(*argv, capture_output=True, encoding="utf-8")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["100", "200000"])
+def test_the_script_writes_its_whole_output_to_a_pipe(tmp_path, count):
+    # gen writes its text in one call: 100 records stay in the buffer until
+    # the flush, while 200,000 pass it by in one write.
+    gen = ("gen", "random", "--seed", "3", "--range", "1048576", "--count", count)
+    piped = _script(*gen, capture_output=True)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert _script(*gen, "--out", str(tmp_path / "g.ct")).returncode == 0
+    assert piped.stdout == (tmp_path / "g.ct").read_bytes()
+
+
+def test_a_closed_pipe_ends_the_script_by_the_teardown(trace_file):
+    # The reader is gone before the first byte, and the report fits in the
+    # buffer, so the first write to the pipe is run_main's flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _script("sim", "--clock", "1", trace_file, stdout=write_end,
+                       stderr=subprocess.PIPE, encoding="utf-8")
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert proc.stderr.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_script_runs_with_stdout_closed_at_start(tmp_path):
+    # With descriptor 1 closed before exec, the script's sys.stdout is None.
+    out = tmp_path / "g.ct"
+    closed = "import os, sys; os.close(1); os.execv(sys.argv[1], sys.argv[1:])"
+    proc = _script("gen", "random", "--range", "64", "--count", "5", "--out", str(out),
+                   launcher=(sys.executable, "-c", closed), stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text() == write_trace(gen_random(1, 0, 64, 5))

@@ -114,7 +114,7 @@ def test_unknown_policy():
 
 
 def test_non_numeric_rejects_sloppy_integers():
-    for bad in ("abc", "0x100", "1_0", "+256", "0256", ""):
+    for bad in ("abc", "0x100", "1_0", "+256", "0256", "", "²"):
         with raises(f"nsets must be a plain decimal integer, got {bad!r}"):
             parse_cache_spec(f"dl1:{bad}:32:1:l")
 
