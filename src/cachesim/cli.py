@@ -247,10 +247,8 @@ def _simulate(h, t, opts, trace_path, simcache):
     if t is not None:
         from .timing import account
 
-        b = report.branches
         cycles = account(h.events, t, report.sim_num_insn, h.ops_executed,
-                         h.mem_counts["I"], h.mem_counts["D"],
-                         (b.executed, b.taken, b.not_taken))
+                         h.mem_counts["I"], h.mem_counts["D"], report.branches)
     fmt = opts.get("fmt", "text")
     if fmt != "text":
         text = export(report if cycles is None else {"sim": report, "cycles": cycles}, fmt)
@@ -286,13 +284,11 @@ def _cmd_sim(args) -> int:
     h = Hierarchy(hspec, opts.get("seed", 1))
     t = None
     if given:
-        i_boundary = h.boundary("I")
-        d_boundary = h.boundary("D")
-        t = TimingSpec(
-            **given,
-            icache_penalty=main_memory_latency(base, i_boundary.bsize) if i_boundary else 0,
-            miss_penalty=main_memory_latency(base, d_boundary.bsize) if d_boundary else 0,
-        )
+        def penalty(side):  # one block from main memory at the side's boundary cache
+            c = h.boundary(side)
+            return main_memory_latency(base, c.bsize) if c else 0
+
+        t = TimingSpec(**given, icache_penalty=penalty("I"), miss_penalty=penalty("D"))
     return _simulate(h, t, opts, trace_path, simcache=True)
 
 

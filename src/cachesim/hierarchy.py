@@ -129,10 +129,7 @@ class Hierarchy:
         # versus accesses forwarded into it from the level above, so
         # accesses == entry + routed refills + routed writebacks per cache.
         self.entry_accesses = {n: 0 for n in self.caches}
-        self.routed = {}
-        for path in (self.i_path, self.d_path):
-            for c in path[1:]:
-                self.routed.setdefault(c.name, [0, 0])  # [refills, writebacks]
+        self.routed = {}  # [refills, writebacks] of each cache a level forwards into, by levels()
 
         self.mem_counts = {"I": [0, 0, 0], "D": [0, 0, 0]}  # [accesses, hits, misses]
 
@@ -147,7 +144,7 @@ class Hierarchy:
                 if desc is None:
                     desc = (c, None, None, row, miss_kind)
                 else:
-                    desc = (c, desc, self.routed[desc[0].name], None, None)
+                    desc = (c, desc, self.routed.setdefault(desc[0].name, [0, 0]), None, None)
             return desc
 
         # The entry descriptors: i and d paths, then itlb and dtlb.

@@ -44,6 +44,12 @@ def block_refs(records, bsize):
                 yield from range(first, last + 1)
 
 
+def _check_axis(name, value):
+    """Refuse a geometry or associativity that is not an integer >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class DistanceHistogram(namedtuple("DistanceHistogram", "nsets bsize counts cold")):
     """Per-geometry stack-distance counts.
 
@@ -56,9 +62,8 @@ class DistanceHistogram(namedtuple("DistanceHistogram", "nsets bsize counts cold
     __slots__ = ()
 
     def __new__(cls, nsets, bsize, counts=None, cold=0):  # each gets its own dict
-        for name, value in (("nsets", nsets), ("bsize", bsize)):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        _check_axis("nsets", nsets)
+        _check_axis("bsize", bsize)
         return super().__new__(cls, nsets, bsize, {} if counts is None else counts, cold)
 
     @property
@@ -132,14 +137,12 @@ def _stack_pass(stream, hist, stacks, cut=math.inf, next_use=None):
 
 def stack_distances(records, nsets, bsize) -> DistanceHistogram:
     """LRU stack distances of every data reference, from one uncut pass."""
-    return _stack_pass(block_refs(records, bsize), DistanceHistogram(nsets, bsize),
-                       defaultdict(list))
+    return _lru_passes(records, {bsize: (nsets,)}, math.inf)[nsets, bsize]
 
 
 def misses_for_assoc(hist: DistanceHistogram, assoc: int) -> int:
     """Miss count of an (nsets, bsize, assoc) cache on the same trace."""
-    if assoc < 1:
-        raise ValueError(f"assoc must be >= 1, got {assoc}")
+    _check_axis("assoc", assoc)
     return hist.cold + sum(c for d, c in hist.counts.items() if d > assoc)
 
 
@@ -181,6 +184,8 @@ def sweep(records, geometries, assocs, opt=False):
     in chunks, and the OPT passes follow the read."""
     if not geometries or not assocs:
         raise ValueError("geometries and assocs must be non-empty")
+    for a in assocs:  # before the trace is read
+        _check_axis("assoc", a)
     cut = max(assocs)
     set_counts = {}  # bsize -> the set counts that share its block stream
     for nsets, bsize in geometries:
@@ -207,8 +212,7 @@ def sweep(records, geometries, assocs, opt=False):
 def belady_misses(records, nsets, bsize, assoc) -> int:
     """Miss count under offline optimal replacement: one OPT stack pass
     cut at ``assoc``, after a backward pass that finds each next use."""
-    if assoc < 1:
-        raise ValueError(f"assoc must be >= 1, got {assoc}")
+    _check_axis("assoc", assoc)
     hist = DistanceHistogram(nsets, bsize)  # checks the geometry before the trace is read
     stream = array("Q", block_refs(records, bsize))
     return _stack_pass(stream, hist, defaultdict(list), assoc, _next_uses(stream)).cold

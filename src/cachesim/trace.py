@@ -185,14 +185,15 @@ def _checked(n, make, *args):
         raise TraceSyntaxError(n, str(exc)) from None
 
 
-def decode_text(lines, start=1):
-    """Yield rows from an iterable of text lines, numbered from ``start``,
-    read ``_TEXT_BATCH`` lines at a time.
+def decode_text(lines):
+    """Yield rows from an iterable of text lines, numbered from 1, read
+    ``_TEXT_BATCH`` lines at a time.
 
     Raises TraceSyntaxError carrying the 1-based line number on any
     malformed record.
     """
     lines = iter(lines)
+    start = 1
     while batch := list(islice(lines, _TEXT_BATCH)):
         for rows in _stretch(batch, start):
             yield from rows
@@ -474,12 +475,10 @@ def write_trace_path(path, records):
 # exactly one block under every geometry being compared.
 
 def gen_sequential(start, count, stride):
-    """Loads at start, start+stride, ... (count records)."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if count < 0:
+    """Loads at start, start+stride, ... (count records): one pass of ``gen_loop``."""
+    if count < 0 and stride >= 1:  # gen_loop refuses a bad stride first
         raise ValueError("count must be >= 0")
-    return [load(start + i * stride, 1) for i in range(count)]
+    return gen_loop(start, count * stride, 1, stride)
 
 
 def gen_loop(base, working_set_bytes, iterations, stride):

@@ -72,6 +72,10 @@ def test_bindings_resolve_to_paths_and_caches(args, i_path, d_path, caches):
     assert list(h.caches) == caches
     assert all(h.caches[c.name] is c for c in h.i_path + h.d_path)
     assert (h.itlb is None, h.dtlb is None) == ("itlb" not in caches, "dtlb" not in caches)
+    # A routed entry for each cache a level forwards into, and for no other.
+    forwarded = dict.fromkeys(c.name for p in (h.i_path, h.d_path) for c in p[1:])
+    assert list(h.routed) == list(forwarded)
+    assert all(counts == [0, 0] for counts in h.routed.values())
 
 
 def test_fully_unified_l1_shares_one_object():

@@ -177,7 +177,7 @@ def test_belady_hand_example():
 
 @pytest.mark.parametrize("assoc", [0, -1, -8])
 def test_belady_refuses_an_associativity_below_1(assoc):
-    with pytest.raises(ValueError, match=f"^assoc must be >= 1, got {assoc}$"):
+    with pytest.raises(ValueError, match=f"^assoc must be an integer >= 1, got {assoc}$"):
         belady_misses(refs([0, 1, 0]), 16, 32, assoc)
 
 
@@ -196,6 +196,25 @@ def test_a_pass_refuses_a_geometry_that_is_not_an_integer_of_at_least_1(nsets, b
     with pytest.raises(ValueError, match=message):
         belady_misses(rows, nsets, bsize, 1)
     assert next(rows) == records[0]  # refused before the trace is read
+
+
+@pytest.mark.parametrize("assoc, message", [
+    (0, "assoc must be an integer >= 1, got 0"),
+    (1.5, r"assoc must be an integer >= 1, got 1\.5"),
+])
+def test_a_pass_refuses_an_associativity_that_is_not_an_integer_of_at_least_1(assoc, message):
+    records = refs([0, 1, 0])
+    for opt in (False, True):
+        rows = iter(records)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(rows, [(1, 32)], [2, assoc], opt=opt)
+        assert next(rows) == records[0]  # refused before the trace is read
+    rows = iter(records)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        belady_misses(rows, 1, 32, assoc)
+    assert next(rows) == records[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        misses_for_assoc(stack_distances(records, 1, 32), assoc)
 
 
 def test_belady_no_reuse_cannot_help():

@@ -604,6 +604,22 @@ def test_gen_sequential():
         gen_sequential(0, 4, 0)
 
 
+@pytest.mark.parametrize("start, count, stride", [(0, 0, 32), (0, 4, 32), (0x1000, 5, 1),
+                                                  (7, 3, 100)])
+def test_gen_sequential_is_one_pass_of_gen_loop(start, count, stride):
+    assert gen_sequential(start, count, stride) == gen_loop(start, count * stride, 1, stride)
+
+
+@pytest.mark.parametrize("count, stride, message", [
+    (4, 0, "stride must be >= 1"),
+    (-1, 32, "count must be >= 0"),
+    (-1, 0, "stride must be >= 1"),  # a bad stride is named first
+])
+def test_gen_sequential_names_a_bad_stride_before_a_bad_count(count, stride, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_sequential(0, count, stride)
+
+
 def test_gen_loop():
     records = gen_loop(0, 128, 2, 32)
     assert [r.addr for r in records] == [0, 32, 64, 96, 0, 32, 64, 96]
