@@ -18,7 +18,10 @@ stacks and counts from chunk to chunk: it holds one chunk and the touched
 sets' stacks, however long the trace.  OPT must see the future, so with
 ``opt`` each block size's stream is kept as an ``array('Q')`` (with a
 block size of 1 a block number takes all 64 bits) and, one block size at
-a time, its next uses as an ``array('q')``: 16 bytes a reference.
+a time, its next uses as an ``array('q')`` and two ``bytearray`` flags a
+reference (which references are their block's first, shared by the block
+size's OPT passes, and one pass's marks of entries absent from its
+stacks): 18 bytes a reference.
 
 Only Load and Store records are consumed here; write semantics are
 ignored (miss counts only).  Accesses spanning block boundaries count one
@@ -74,21 +77,28 @@ class DistanceHistogram(namedtuple("DistanceHistogram", "nsets bsize counts cold
 def _next_uses(stream):
     """Position of each reference's next use of its block, or
     ``len(stream)`` (later than every real position) when there is none,
-    as an ``array('q')``."""
+    as an ``array('q')``; and a ``bytearray`` of ``len(stream) + 1``
+    flags, 1 at each reference that is its block's first.  Every OPT pass
+    of the stream starts its marks of absent entries from a copy of these
+    flags; the last slot, "no next use", takes the marks of entries that
+    no reference looks for."""
     n = len(stream)
     next_use = array("q", [n]) * n
     last_seen = {}
     for i, b in zip(range(n - 1, -1, -1), reversed(stream)):
         next_use[i] = last_seen.get(b, n)
         last_seen[b] = i
-    return next_use
+    first = bytearray(n + 1)
+    for i in last_seen.values():  # where the backward loop saw each block last
+        first[i] = 1
+    return next_use, first
 
 
 def _stack_pass(stream, hist, stacks, cut=math.inf, next_use=None):
     """Feed a block stream to per-set stacks, at most ``cut`` entries deep,
-    by the LRU rule, or by the OPT rule when ``next_use`` (from
-    ``_next_uses``) is given; return ``hist`` with the stream's references
-    added.
+    by the LRU rule, or by the OPT rule when ``next_use`` (the pair that
+    ``_next_uses`` returns) is given; return ``hist`` with the stream's
+    references added.
 
     ``hist`` (whose ``counts`` grow in place) and ``stacks`` (a
     ``defaultdict(list)``: a set's stack is made on first touch) are the
@@ -96,7 +106,10 @@ def _stack_pass(stream, hist, stacks, cut=math.inf, next_use=None):
     piece, ends as one fed it whole.  An LRU stack holds block numbers.
     An OPT stack holds, for each block, the position of its next use,
     which both ranks the block and names the reference that will look for
-    it; so an OPT pass is fed its whole stream at once.
+    it; so an OPT pass is fed its whole stream at once, with a finite cut.
+    Only the cut takes an entry out, so reference i misses exactly when it
+    is its block's first or the pass marked ``absent[i]`` as it pushed the
+    entry of value i past the cut; otherwise ``index`` is sure to find it.
     """
     nsets, counts, cold = hist.nsets, hist.counts, hist.cold
     if next_use is None:
@@ -114,24 +127,35 @@ def _stack_pass(stream, hist, stacks, cut=math.inf, next_use=None):
                 if len(stack) > cut:
                     stack.pop()
     else:
+        next_use, first = next_use
+        absent = first[:]
+        # hits by depth - 1, folded into counts at the end; no stack holds
+        # more entries than the stream has blocks (the 1s of ``first``),
+        # whatever the cut
+        tally = [0] * min(cut, first.count(1))
         for i, b, nu in zip(count(), stream, next_use):
             stack = stacks[b % nsets]
-            if i in stack:
-                d = stack.index(i)
-                counts[d + 1] = counts.get(d + 1, 0) + 1
-            else:
+            if absent[i]:
                 cold += 1
                 d = len(stack)
-                stack.append(None)
+                if d < cut:
+                    stack.append(None)
+            else:
+                d = stack.index(i)
+                tally[d] += 1
             if d:
                 carry = stack[0]
                 for j in range(1, d):
                     if stack[j] > carry:
                         stack[j], carry = carry, stack[j]
-                stack[d] = carry
+                if d < cut:
+                    stack[d] = carry
+                else:  # pushed past the cut
+                    absent[carry] = 1
             stack[0] = nu
-            if len(stack) > cut:
-                stack.pop()
+        for depth, c in enumerate(tally, 1):
+            if c:
+                counts[depth] = counts.get(depth, 0) + c
     return hist._replace(cold=cold)
 
 
@@ -211,7 +235,9 @@ def sweep(records, geometries, assocs, opt=False):
 
 def belady_misses(records, nsets, bsize, assoc) -> int:
     """Miss count under offline optimal replacement: one OPT stack pass
-    cut at ``assoc``, after a backward pass that finds each next use."""
+    cut at ``assoc``, after a backward pass that finds each next use and
+    each block's first reference.  A reference misses when it is its
+    block's first or its entry was marked as pushed past the cut."""
     _check_axis("assoc", assoc)
     hist = DistanceHistogram(nsets, bsize)  # checks the geometry before the trace is read
     stream = array("Q", block_refs(records, bsize))

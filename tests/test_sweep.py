@@ -275,7 +275,7 @@ def test_belady_ignores_non_data_records():
                                    st.sampled_from([1, 4, 8, 64])), max_size=120),
        sets=st.lists(st.sampled_from([1, 2, 4, 16]), min_size=1, max_size=3),
        bsizes=st.lists(st.sampled_from([1, 8, 32, 64]), min_size=1, max_size=2),
-       assocs=st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=4),
+       assocs=st.lists(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=4),
        opt=st.booleans(), chunk=st.integers(1, 60), wide_at=st.none() | st.integers(0, 120))
 def test_sweep_matches_lru_cache_and_victim_search_belady(accesses, sets, bsizes, assocs, opt,
                                                           chunk, wide_at):
@@ -329,16 +329,31 @@ def test_an_lru_sweep_holds_a_chunk_and_its_stacks_not_the_trace():
     assert large_peak < small_peak + 128 * 1024, (small_peak, large_peak)
 
 
-def test_an_opt_sweep_holds_16_bytes_per_reference():
+def test_an_opt_sweep_holds_18_bytes_per_reference():
     n = 100_000
     rows, peak = _peak(lambda: sweep(_loads(2, n, 1 << 16), [(16, 32), (64, 32)], [1, 4],
                                      opt=True))
     assert rows[-1].misses > 0
-    # The block stream (array 'Q') and its next uses (array 'q') take 16 B
-    # a reference; the constant holds a chunk, the stacks and the last use
-    # of each of the 2,048 blocks of 64 KiB.  A listed trace and stream
-    # would take over 150 B a reference.
+    # The block stream (array 'Q'), its next uses (array 'q'), the flags of
+    # each block's first reference and one pass's marks of entries pushed
+    # past the cut (a bytearray each) take 18 B a reference; the constant
+    # holds a chunk, the stacks and the last use of each of the 2,048
+    # blocks of 64 KiB.  A listed trace and stream would take over 150 B a
+    # reference.
     assert peak < 24 * n + 512 * 1024, peak
+
+
+def test_an_opt_pass_far_wider_than_the_trace_holds_no_more_than_one_that_fits_it():
+    # 20,000 loads over 64 blocks: a cut of 2**40 gives the rows of a cut
+    # of 64 in no more memory, since no stack holds more entries than the
+    # stream has blocks.
+    records = list(_loads(3, 20_000, 64 * 32))
+    geometries = [(1, 32), (4, 32)]
+    wide, wide_peak = _peak(lambda: sweep(records, geometries, [1, 1 << 40], opt=True))
+    fits, fits_peak = _peak(lambda: sweep(records, geometries, [1, 64], opt=True))
+    assert [(r.policy, r.misses) for r in wide] == [(r.policy, r.misses) for r in fits]
+    assert wide_peak < fits_peak + 64 * 1024, (fits_peak, wide_peak)
+    assert belady_misses(records, 1, 32, 1 << 40) == belady_misses(records, 1, 32, 64) == 64
 
 
 def test_a_row_wider_than_a_chunk_is_fed_in_pieces():

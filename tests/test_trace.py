@@ -686,7 +686,10 @@ def _records(draw, valid=True):
     return out
 
 
-# Tokens that break a record: bad numbers, out-of-range values, bad kinds.
+# Tokens put in place of a record's own: bad numbers, out-of-range values,
+# bad kinds.  Not every one breaks a record: "1_0" and "+2" never do, as
+# both decoders and the oracle read them through int(), and they are drawn
+# so that the differential checks that all three agree on them.
 _BAD_TOKENS = ["zz", "0", "-1", "+2", "65536", "1ffffffffffffffff", "1_0", "X", "Q", "T"]
 
 
@@ -703,7 +706,7 @@ def _text_lines(draw, records, bad=False):
     """``records`` as text lines, spelled every way the grammar allows:
     spacing, hex case, 0x prefixes and leading zeros, comments, blank
     lines and \\r\\n endings; with ``bad``, about one token in five
-    replaced from _BAD_TOKENS."""
+    replaced from _BAD_TOKENS, which mostly but not always breaks a record."""
     lines = []
     for r in records:
         toks = _tokens(r)
