@@ -1,13 +1,17 @@
 """Command-line driver: simulate, vexsim, sweep and gen.
 
 Exit codes: 0 success, 1 usage or command-line configuration error,
-2 input-file error (trace or vex.cfg, with line numbers).
+2 input-file error (trace or vex.cfg, with line numbers).  A numeric flag
+value, like a cache string, is ASCII: one with another script's digits or
+a ``_`` is a usage error naming its flag.
 
 The ``sim`` subcommand keeps the classic single-dash flag vocabulary
 (``-cache:dl1 dl1:256:32:1:l``); subcommand-specific options use ``--``
 style.  When any of the memory-timing flags is given, ``sim`` appends a
 cycle-accounting summary whose per-side miss penalties are the main-memory
-latency of one block transfer at that side's memory-boundary cache.
+latency of one block transfer at that side's memory-boundary cache.  With
+a timing flag, and in ``vexsim``, the cycle model folds each bus
+transaction as the walk emits it, so memory does not grow with the trace.
 
 Each command imports the layers it runs, so ``sweep`` loads no hierarchy,
 cache or timing module, ``sim`` without a memory-timing flag no timing
@@ -135,16 +139,24 @@ def run_main():
     os._exit(code)
 
 
+def _plain(tok):
+    """``tok`` if it is ASCII and holds no ``_``: ``int`` and ``float`` would
+    also read the digits of other scripts and digit-group underscores."""
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(tok)
+    return tok
+
+
 def _int(tok):
-    return int(tok, 0)
+    return int(_plain(tok), 0)
 
 
 def _ints(tok):
-    return [int(t) for t in tok.split(",") if t]
+    return [int(t) for t in _plain(tok).split(",") if t]
 
 
 def _seconds(tok):
-    v = float(tok)
+    v = float(_plain(tok))
     if not math.isfinite(v) or v < 0:
         raise ValueError(tok)
     return v
@@ -236,17 +248,19 @@ def _make_clock(fixed_elapsed):
 
 def _simulate(h, t, opts, trace_path, simcache):
     """Run the trace through ``h``, account cycles under timing ``t`` when
-    it is given, and emit the report.  Text output leads with the classic
+    it is given, folding its bus transactions in a ``timing.BusFold``, and
+    emit the report.  Text output leads with the classic
     statistics when ``simcache`` is set, then the cycle summary and, for a
     trace with named regions, the region profile."""
     from .report import export, render_region_profile, render_simcache, render_vex_summary
 
-    report = h.run(read_rows(trace_path), collect_events=t is not None,
-                   clock=_make_clock(opts.get("clock")))
+    if t is not None:
+        from .timing import BusFold, account
+
+        h.events = BusFold(t)
+    report = h.run(read_rows(trace_path), clock=_make_clock(opts.get("clock")))
     cycles = None
     if t is not None:
-        from .timing import account
-
         cycles = account(h.events, t, report.sim_num_insn, h.ops_executed,
                          h.mem_counts["I"], h.mem_counts["D"], report.branches)
     fmt = opts.get("fmt", "text")

@@ -44,10 +44,13 @@ Either path touches the block of ``addr`` once for a size of 0 or less.
 
 The caches at the memory boundary (the deepest cache on each side) also
 feed the cycle model: their per-side access/hit/miss counts and, when
-event collection is on, one ``(kind, at, size)`` tuple per bus
-transaction (boundary miss or dirty eviction), ``at`` being
-``sim_num_insn`` as it stood when its record began.  Branches are
-counted, taken and not taken, not logged.
+``events`` holds a sink, one ``(kind, at, size)`` tuple per bus
+transaction (boundary miss or dirty eviction) passed to its ``append``,
+``at`` being ``sim_num_insn`` as it stood when its record began.  The
+sink is a list that ``run(collect_events=True)`` makes, or any object with
+an ``append`` set before ``run``, such as ``timing.BusFold``, which folds
+each transaction as it comes and so holds none.  Branches are counted,
+taken and not taken, not logged.
 """
 
 import time
@@ -157,7 +160,7 @@ class Hierarchy:
         self.ops_executed = 0
         self.taken_branches = 0
         self.not_taken_branches = 0
-        self.events = None  # (kind, at, size) bus transactions when collection is on
+        self.events = None  # the sink of (kind, at, size) bus transactions, if any
         self._log = None  # step()'s outcome list while it runs, else None
 
         # Named regions only, name -> counters credited so far (flat, in
@@ -347,6 +350,10 @@ class Hierarchy:
     def run(self, records, collect_events=False, clock=time.time):
         """Fold every record of the trace (TraceRecords or decoder rows)
         and return a SimReport.
+
+        ``collect_events`` makes ``events`` a list of the bus transactions
+        when no sink is set; a sink already set, a list or a fold, keeps
+        taking them.
 
         ``clock`` is called once before and once after the loop; injecting
         a fake clock makes the wall-time fields reproducible.  Elapsed time

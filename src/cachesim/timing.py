@@ -16,6 +16,10 @@ rounded up to whole core cycles.  Refill waiting accrues to that side's
 bus-conflict stall; writebacks additionally occupy the bus for their
 penalty but never stall the core, which is why the data-side stall equals
 exactly misses times the miss penalty when nothing conflicts.
+
+``BusFold`` applies that rule to one transaction at a time, as the walk
+emits them, and keeps only running totals, so the cycle model's memory
+does not grow with the trace; ``account`` reads its totals.
 """
 
 from collections import namedtuple
@@ -79,19 +83,76 @@ def main_memory_latency(t: TimingSpec, nbytes: int) -> int:
     return t.mem_lat_first + (beats - 1) * t.mem_lat_next
 
 
-def _transfer_cycles(t, size):
-    beats = -(-size // t.mem_width)
-    return -(-(beats * t.core_clk_mhz) // t.bus_clk_mhz)
+_TOTALS = object()  # sent to ``_bus`` in place of a transaction
+
+
+def _bus(t):
+    """The bus rule as a generator: send it one transaction at a time, or
+    _TOTALS to have the running totals (imiss and dmiss counts, I and D
+    conflict cycles, busy cycles) sent back."""
+    wb_penalty, totals = t.wb_penalty, _TOTALS
+    transfer = {}  # size -> transfer cycles, for the few sizes a run has
+    bus_free = bus_busy = 0
+    n_imiss = n_dmiss = i_conflict = d_conflict = 0
+    event = yield
+    while True:
+        while event is totals:
+            event = yield n_imiss, n_dmiss, i_conflict, d_conflict, bus_busy
+        kind, at, size = event
+        cycles = transfer.get(size)
+        if cycles is None:
+            if size < 1:
+                raise ValueError(f"bus event needs a transfer size: {event}")
+            beats = -(-size // t.mem_width)
+            cycles = transfer[size] = -(-(beats * t.core_clk_mhz) // t.bus_clk_mhz)
+        start = at if at > bus_free else bus_free
+        if kind == "writeback":
+            cycles += wb_penalty
+        elif kind == "dmiss":
+            n_dmiss += 1
+            d_conflict += start - at
+        elif kind == "imiss":
+            n_imiss += 1
+            i_conflict += start - at
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
+        bus_busy += cycles
+        bus_free = start + cycles
+        event = yield
+
+
+class BusFold:
+    """An online fold of ``(kind, at, size)`` bus transactions under the
+    TimingSpec ``timing``: ``append`` takes one transaction, in trace
+    order, and raises ValueError for an unknown kind or a size below 1,
+    after which the fold takes no more.  It holds the bus-free time, the
+    busy cycles and each side's miss count and conflict cycles, and no
+    transaction, so it can stand for ``Hierarchy.events``."""
+
+    __slots__ = ("timing", "append")
+
+    def __init__(self, timing):
+        self.timing = timing
+        bus = _bus(timing)
+        next(bus)
+        self.append = bus.send  # the generator's send: cheaper than a method
+
+    def totals(self):
+        """(imiss count, dmiss count, I conflict, D conflict, busy cycles)."""
+        return self.append(_TOTALS)
 
 
 def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
     """Fold a stream of ``(kind, at, size)`` bus transactions into a
     CycleReport.
 
-    ``imem`` and ``dmem`` are (accesses, hits, misses) summaries whose
-    misses must agree with the stream's miss events, and ``branches`` is
-    (executed, taken, not_taken); an inconsistent summary raises
-    InconsistentCounts.  The branch stall is taken times ``branch_stall``.
+    ``events`` is a BusFold built under ``t`` that has taken the
+    transactions, whose totals are read, or any iterable of them, which a
+    fresh BusFold folds.  ``imem`` and ``dmem`` are (accesses, hits,
+    misses) summaries whose misses must agree with the stream's miss
+    events, and ``branches`` is (executed, taken, not_taken); an
+    inconsistent summary raises InconsistentCounts.  The branch stall is
+    taken times ``branch_stall``.
     """
     i_acc, i_hit, i_miss = imem
     d_acc, d_hit, d_miss = dmem
@@ -101,28 +162,14 @@ def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):
     if br_exec != br_taken + br_not:
         raise InconsistentCounts("executed branches != taken + not taken")
 
-    n_imiss = n_dmiss = 0
-    bus_free = 0
-    bus_busy = 0
-    i_conflict = d_conflict = 0
-    for kind, at, size in events:
-        if size < 1:
-            raise ValueError(f"bus event needs a transfer size: {(kind, at, size)}")
-        start = at if at > bus_free else bus_free
-        cycles = _transfer_cycles(t, size)
-        if kind == "writeback":
-            cycles += t.wb_penalty
-        elif kind == "imiss":
-            n_imiss += 1
-            i_conflict += start - at
-        elif kind == "dmiss":
-            n_dmiss += 1
-            d_conflict += start - at
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
-        bus_busy += cycles
-        bus_free = start + cycles
-
+    fold = events
+    if not isinstance(fold, BusFold):
+        fold = BusFold(t)
+        for event in events:
+            fold.append(event)
+    elif fold.timing != t:
+        raise ValueError("the bus fold was built under another TimingSpec")
+    n_imiss, n_dmiss, i_conflict, d_conflict, bus_busy = fold.totals()
     if n_imiss != i_miss or n_dmiss != d_miss:
         raise InconsistentCounts(
             f"event misses ({n_imiss} I, {n_dmiss} D) disagree with the "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import cachesim
 from cachesim import (
     branch,
+    gen_loop,
     gen_random,
     inst,
     load,
@@ -450,11 +452,57 @@ def test_gen_usage_errors(capsys):
     # a digit that str.isdigit() takes and int() refuses
     (["sim", "-cache:dl1", "dl1:²:32:1:l", "{trace}"],
      "nsets must be a plain decimal integer, got '²'"),
+    # numeric values are ASCII with no digit-group "_", which int() and
+    # float() would take
+    (["sweep", "--sets", "١٦", "--bsize", "32", "--assoc", "1", "{trace}"],
+     "--sets needs a comma-separated integer list, got '١٦'"),
+    (["sweep", "--sets", "16", "--bsize", "3_2", "--assoc", "1", "{trace}"],
+     "--bsize needs a comma-separated integer list, got '3_2'"),
+    (["gen", "random", "--range", "4_096", "--count", "4"],
+     "--range needs an integer, got '4_096'"),
+    (["gen", "random", "--range", "0x1_000", "--count", "4"],
+     "--range needs an integer, got '0x1_000'"),
+    (["gen", "sequential", "--count", "٤"], "--count needs an integer, got '٤'"),
+    (["sim", "-mem:lat", "1_8", "2", "{trace}"], "-mem:lat needs an integer, got '1_8 2'"),
+    (["sim", "-seed", "１", "{trace}"], "-seed needs an integer, got '１'"),
+    (["vexsim", "--clock", "1_0", "{cfg}", "{trace}"],
+     "--clock needs a finite number >= 0, got '1_0'"),
 ])
 def test_command_line_errors_exit_1_with_their_message(capsys, trace_file, cfg_file,
                                                        argv, message):
     argv = [a.format(trace=trace_file, cfg=cfg_file) for a in argv]
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n{USAGE}\n")
+
+
+def test_hex_integer_values_stay_valid(capsys):
+    code, out, _ = run_cli(capsys, "gen", "random", "--range", "0x1000", "--count", "0X2")
+    assert code == 0
+    assert out == write_trace(gen_random(1, 0, 4096, 2))
+
+
+@pytest.mark.parametrize("argv", [["sim", "-mem:lat", "18", "2", "--clock", "1"],
+                                  ["vexsim", "--clock", "1", "{cfg}"]])
+def test_cycle_model_memory_does_not_grow_with_the_trace(tmp_path, trace_file, cfg_file, argv):
+    # A loop over 512 KiB at a 32-byte stride fills every cache it touches
+    # within its first 4,096 records; past them only the trace grows.  The
+    # bus transactions are folded as the walk emits them, so 100,000 records
+    # peak within 64 KiB of 20,000.  (A list of the transactions would grow
+    # the sim peak from 1.1 to 3.8 MiB over these lengths, vexsim's from 1.6
+    # to 7.0 MiB.)
+    records = gen_loop(0, 512 * 1024, 7, 32)
+    args = [a.format(cfg=cfg_file) for a in argv] + ["--out", str(tmp_path / "out")]
+    assert main(args + [trace_file]) == 0  # the imports, untraced
+    peaks = []
+    for n in (20_000, 100_000):
+        trace = tmp_path / f"loop{n}.ctb"
+        write_trace_path(trace, records[:n])
+        tracemalloc.start()
+        try:
+            assert main(args + [str(trace)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 # Every cache geometry in this vocabulary has at most 1024 sets, and the

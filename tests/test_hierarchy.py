@@ -26,8 +26,9 @@ from cachesim import (
     write_trace_binary,
 )
 from cachesim.config import DEFAULT_HIERARCHY_ARGS
+from cachesim.timing import BusFold
 from cachesim.trace import decode_binary
-from reference import RefCache, RefHierarchy, cache_seed, data_blocks, ref_cycles
+from reference import RefBus, RefCache, RefHierarchy, cache_seed, data_blocks, ref_cycles
 
 
 def build(args=(), seed=1):
@@ -829,6 +830,38 @@ def test_account_matches_a_cycle_stepped_bus(flags, rows, flush, seed, t):
     model.feed(rows)
     assert {**got._asdict(), "imem": got.imem._asdict(), "dmem": got.dmem._asdict(),
             "branch": got.branch._asdict()} == ref_cycles(model, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=_ref_flags(), rows=_ref_rows(), flush=st.booleans(),
+       seed=st.integers(0, 3), t=_timing_specs(), data=st.data())
+def test_a_bus_fold_fed_by_one_or_two_runs_matches_account_over_a_list(flags, rows, flush,
+                                                                      seed, t, data):
+    # A fold set as the events sink before run, over the rows in one run
+    # and cut into two, against account over a collecting run's list and a
+    # bus stepped a core cycle at a time.
+    collecting = _build_from(flags, seed, flush)
+    rep = collecting.run(rows, collect_events=True, clock=lambda: 0.0)
+    b = rep.branches
+    branches = (b.executed, b.taken, b.not_taken)
+    want = account(collecting.events, t, rep.sim_num_insn, collecting.ops_executed,
+                   collecting.mem_counts["I"], collecting.mem_counts["D"], branches)
+    cut = data.draw(st.integers(0, len(rows)), label="cut")
+    for parts in ([rows], [rows[:cut], rows[cut:]]):
+        h = _build_from(flags, seed, flush)
+        h.events = fold = BusFold(t)
+        for part in parts:
+            rep = h.run(part, clock=lambda: 0.0)
+        assert h.events is fold
+        assert h.mem_counts == collecting.mem_counts
+        assert account(fold, t, rep.sim_num_insn, h.ops_executed, h.mem_counts["I"],
+                       h.mem_counts["D"], branches) == want
+    _, model = _reference(flags, seed, flush)
+    model.feed(rows)
+    bus = RefBus(t.core_clk_mhz, t.bus_clk_mhz, t.mem_width, t.wb_penalty).feed(model.events)
+    _, _, i_conflict, d_conflict, busy = fold.totals()
+    assert (busy, i_conflict, d_conflict) == \
+        (bus.busy, bus.conflict["imiss"], bus.conflict["dmiss"])
 
 
 @st.composite

@@ -8,6 +8,7 @@ from cachesim import (
     account,
     main_memory_latency,
 )
+from cachesim.timing import BusFold
 
 VEX_TIMING = TimingSpec(
     core_clk_mhz=1000, bus_clk_mhz=500,
@@ -183,3 +184,64 @@ def test_fractional_clock_ratio_rounds_up_whole_cycles():
                 imem=(0, 0, 0), dmem=(1, 0, 1), branches=(0, 0, 0))
     # 4 beats * 1000/300 = 13.33 -> 14 whole core cycles
     assert c.bus_busy_cycles == 14
+
+
+def _random_events(rng, n):
+    events, at = [], 0
+    for _ in range(n):
+        at += rng.randrange(0, 6)
+        events.append((rng.choice(["imiss", "dmiss", "writeback"]), at,
+                       rng.choice([1, 16, 32, 64, 100])))
+    return events
+
+
+def _summaries(events):
+    n_i = sum(kind == "imiss" for kind, _, _ in events)
+    n_d = sum(kind == "dmiss" for kind, _, _ in events)
+    return dict(imem=(n_i + 5, 5, n_i), dmem=(n_d + 3, 3, n_d), branches=(4, 3, 1))
+
+
+def test_a_fold_gives_the_report_of_its_transactions_as_a_list():
+    rng = random.Random(3)
+    for trial in range(50):
+        t = TimingSpec(core_clk_mhz=rng.randrange(1, 7) * 100, bus_clk_mhz=100,
+                       wb_penalty=rng.randrange(0, 40), miss_penalty=7, icache_penalty=9,
+                       mem_width=rng.choice([1, 8, 32]))
+        events = _random_events(rng, rng.randrange(0, 120))
+        fold = BusFold(t)
+        for i, event in enumerate(events):
+            if i % 7 == 0:  # reading the totals changes nothing
+                fold.totals()
+            fold.append(event)
+        args = dict(insn_count=700, op_count=900, **_summaries(events))
+        assert account(fold, t, **args) == account(events, t, **args)
+        assert account(fold, t, **args) == account(iter(events), t, **args)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (("flush", 3, 32), "unknown event kind 'flush'"),
+    (("dmiss", 3, 0), r"bus event needs a transfer size: \('dmiss', 3, 0\)"),
+    (("writeback", 3, -32), r"bus event needs a transfer size: \('writeback', 3, -32\)"),
+])
+def test_a_bad_transaction_raises_value_error_from_a_list_and_a_fold(bad, message):
+    events = [dmiss(0, 32), ("writeback", 1, 32), bad]
+    with pytest.raises(ValueError, match=message):
+        account(events, VEX_TIMING, 10, 10, imem=(0, 0, 0), dmem=(2, 0, 2),
+                branches=(0, 0, 0))
+    fold = BusFold(VEX_TIMING)
+    fold.append(events[0])
+    fold.append(events[1])
+    with pytest.raises(ValueError, match=message):
+        fold.append(bad)
+
+
+def test_account_reads_a_fold_only_under_its_own_timing_spec():
+    fold = BusFold(VEX_TIMING)
+    fold.append(dmiss(0))
+    args = dict(imem=(0, 0, 0), dmem=(1, 0, 1), branches=(0, 0, 0))
+    same = TimingSpec(**{f: getattr(VEX_TIMING, f) for f in VEX_TIMING.__dataclass_fields__})
+    assert account(fold, same, 10, 10, **args) == account([dmiss(0)], VEX_TIMING, 10, 10, **args)
+    with pytest.raises(ValueError, match="another TimingSpec"):
+        account(fold, TimingSpec(wb_penalty=1), 10, 10, **args)
+    with pytest.raises(InconsistentCounts):
+        account(fold, VEX_TIMING, 10, 10, imem=(0, 0, 0), dmem=(2, 0, 2), branches=(0, 0, 0))
