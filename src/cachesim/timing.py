@@ -17,9 +17,9 @@ bus-conflict stall; writebacks additionally occupy the bus for their
 penalty but never stall the core, which is why the data-side stall equals
 exactly misses times the miss penalty when nothing conflicts.
 
-``BusFold`` applies that rule to one transaction at a time, as the walk
-emits them, and keeps only running totals, so the cycle model's memory
-does not grow with the trace; ``account`` reads its totals.
+``BusFold`` folds each transaction by that rule as the walk emits it and
+keeps only running totals, which ``account`` reads; a transaction it
+refuses changes no total, and its memory does not grow with the trace.
 """
 
 from collections import namedtuple
@@ -83,63 +83,49 @@ def main_memory_latency(t: TimingSpec, nbytes: int) -> int:
     return t.mem_lat_first + (beats - 1) * t.mem_lat_next
 
 
-_TOTALS = object()  # sent to ``_bus`` in place of a transaction
-
-
-def _bus(t):
-    """The bus rule as a generator: send it one transaction at a time, or
-    _TOTALS to have the running totals (imiss and dmiss counts, I and D
-    conflict cycles, busy cycles) sent back."""
-    wb_penalty, totals = t.wb_penalty, _TOTALS
-    transfer = {}  # size -> transfer cycles, for the few sizes a run has
-    bus_free = bus_busy = 0
-    n_imiss = n_dmiss = i_conflict = d_conflict = 0
-    event = yield
-    while True:
-        while event is totals:
-            event = yield n_imiss, n_dmiss, i_conflict, d_conflict, bus_busy
-        kind, at, size = event
-        cycles = transfer.get(size)
-        if cycles is None:
-            if size < 1:
-                raise ValueError(f"bus event needs a transfer size: {event}")
-            beats = -(-size // t.mem_width)
-            cycles = transfer[size] = -(-(beats * t.core_clk_mhz) // t.bus_clk_mhz)
-        start = at if at > bus_free else bus_free
-        if kind == "writeback":
-            cycles += wb_penalty
-        elif kind == "dmiss":
-            n_dmiss += 1
-            d_conflict += start - at
-        elif kind == "imiss":
-            n_imiss += 1
-            i_conflict += start - at
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
-        bus_busy += cycles
-        bus_free = start + cycles
-        event = yield
-
-
 class BusFold:
     """An online fold of ``(kind, at, size)`` bus transactions under the
     TimingSpec ``timing``: ``append`` takes one transaction, in trace
     order, and raises ValueError for an unknown kind or a size below 1,
-    after which the fold takes no more.  It holds the bus-free time, the
-    busy cycles and each side's miss count and conflict cycles, and no
-    transaction, so it can stand for ``Hierarchy.events``."""
+    which changes no total.  It holds the bus-free time, the busy cycles
+    and each side's miss count and conflict cycles, and no transaction,
+    so it can stand for ``Hierarchy.events``."""
 
-    __slots__ = ("timing", "append")
+    __slots__ = ("timing", "_transfer", "_free", "_busy",
+                 "_imiss", "_dmiss", "_iconflict", "_dconflict")
 
     def __init__(self, timing):
         self.timing = timing
-        bus = _bus(timing)
-        next(bus)
-        self.append = bus.send  # the generator's send: cheaper than a method
+        self._transfer = {}  # size -> transfer cycles, for the few sizes a run has
+        self._free = self._busy = 0
+        self._imiss = self._dmiss = self._iconflict = self._dconflict = 0
+
+    def append(self, event):
+        kind, at, size = event
+        cycles = self._transfer.get(size)
+        if cycles is None:
+            if size < 1:
+                raise ValueError(f"bus event needs a transfer size: {event}")
+            t = self.timing
+            beats = -(-size // t.mem_width)
+            cycles = self._transfer[size] = -(-(beats * t.core_clk_mhz) // t.bus_clk_mhz)
+        start = at if at > self._free else self._free
+        if kind == "writeback":
+            cycles += self.timing.wb_penalty
+        elif kind == "dmiss":
+            self._dmiss += 1
+            self._dconflict += start - at
+        elif kind == "imiss":
+            self._imiss += 1
+            self._iconflict += start - at
+        else:
+            raise ValueError(f"unknown event kind {kind!r}")
+        self._busy += cycles
+        self._free = start + cycles
 
     def totals(self):
         """(imiss count, dmiss count, I conflict, D conflict, busy cycles)."""
-        return self.append(_TOTALS)
+        return self._imiss, self._dmiss, self._iconflict, self._dconflict, self._busy
 
 
 def account(events, t: TimingSpec, insn_count, op_count, imem, dmem, branches):

@@ -171,7 +171,7 @@ def _check_span(addr, size):
 
 
 # The rows of B and Y records; each is the same for every record of its kind.
-_TAKEN, _NOT_TAKEN, _SYSCALL = branch(True), branch(False), syscall()
+_TAKEN, _NOT_TAKEN, _SYSCALL = (3, 0, 1), (3, 0, 0), (4, 0, 0)
 
 
 def _checked(n, make, *args):
@@ -433,7 +433,8 @@ def _plain_rows(lines):
                 elif kind == "B" and (arg == "T" or arg == "N"):
                     append(_TAKEN if arg == "T" else _NOT_TAKEN)
                 elif kind == "R":
-                    append(region(arg))
+                    region(arg)
+                    append((5, 0, arg))
                 else:
                     return rows, line
             elif n == 1 and toks[0] == "Y":

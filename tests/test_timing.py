@@ -231,8 +231,15 @@ def test_a_bad_transaction_raises_value_error_from_a_list_and_a_fold(bad, messag
     fold = BusFold(VEX_TIMING)
     fold.append(events[0])
     fold.append(events[1])
+    before = fold.totals()
     with pytest.raises(ValueError, match=message):
         fold.append(bad)
+    assert fold.totals() == before  # a refused transaction changes no total
+    fold.append(dmiss(2, 32))
+    fresh = BusFold(VEX_TIMING)
+    for event in (events[0], events[1], dmiss(2, 32)):
+        fresh.append(event)
+    assert fold.totals() == fresh.totals()
 
 
 def test_account_reads_a_fold_only_under_its_own_timing_spec():

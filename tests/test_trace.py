@@ -5,6 +5,7 @@ import random
 import re
 import struct
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -794,6 +795,9 @@ def test_decoders_match_oracles_on_valid_traces(scratch_dir, records, data, chun
         assert _fields(decode_binary(io.BytesIO(blob))) == want
         assert _fields(read_rows(scratch_dir / "v.ct")) == want
         assert _fields(read_rows(scratch_dir / "v.ctb")) == want
+        rows = chain(decode_text(lines), decode_binary(io.BytesIO(blob)),
+                     read_rows(scratch_dir / "v.ct"), read_rows(scratch_dir / "v.ctb"))
+        assert all(type(row) is tuple for row in rows)  # no TraceRecord among the rows
     assert _fields(reference.parse_trace_binary(blob)) == want
     for got in (parse_trace(lines), parse_trace_binary(blob)):
         assert all(type(r) is TraceRecord for r in got)
